@@ -98,9 +98,10 @@ class EventStore {
   std::vector<CountryCount> country_ranking(SourceFilter filter,
                                             const meta::GeoDatabase& geo) const;
 
-  /// Normalized intensity of an event: log-scaled min-max within its source
-  /// dataset, in [0, 1] (requires finalize()). The paper normalizes per
-  /// dataset because telescope pps and honeypot rps are incomparable.
+  /// Normalized intensity of an event: its raw intensity divided by the
+  /// maximum of its source dataset (linear, not log-scaled), in [0, 1]
+  /// (requires finalize()). The paper normalizes per dataset because
+  /// telescope pps and honeypot rps are incomparable.
   double normalized_intensity(const AttackEvent& event) const;
 
   /// An event is "medium intensity or higher" when its raw intensity is at

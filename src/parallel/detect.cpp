@@ -1,6 +1,8 @@
 #include "parallel/detect.h"
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
 #include <tuple>
 #include <utility>
 
@@ -26,15 +28,54 @@ struct ShardMetrics {
           reg.counter("parallel.shard_backscatter_packets",
                       "Backscatter packets processed across shards"),
           reg.counter("parallel.shard_events",
-                      "Events emitted across shards before the k-way merge"),
+                      "Events emitted by shard and per-log tasks before the "
+                      "final merge"),
           reg.histogram("parallel.merge_seconds",
-                        "Deterministic k-way merge time",
+                        "Final merge time (telescope k-way merge, fleet "
+                        "merge)",
                         obs::latency_buckets()),
       };
     }();
     return metrics;
   }
 };
+
+/// A FlowTable sweep point of the whole capture: the packet whose arrival
+/// fires the sweep, and its timestamp.
+struct SweepTick {
+  std::uint32_t index;
+  double ts;
+};
+
+/// Where FlowTable::sweep fires on `packets`, by the same rule from the same
+/// start (last_sweep_ = 0; fire when now - last_sweep_ >= 60), read from the
+/// timestamps alone.
+std::vector<SweepTick> sweep_ticks(std::span<const net::PacketRecord> packets) {
+  std::vector<SweepTick> ticks;
+  double last_sweep = 0.0;
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    const double ts = packets[i].timestamp();
+    if (ts - last_sweep >= 60.0) {
+      ticks.push_back({static_cast<std::uint32_t>(i), ts});
+      last_sweep = ts;
+    }
+  }
+  return ticks;
+}
+
+/// Appends the index of every backscatter packet in packets[begin, end) to
+/// the bucket of its victim's shard (one bucket per shard).
+void bucket_backscatter(std::span<const net::PacketRecord> packets,
+                        std::size_t begin, std::size_t end,
+                        std::span<std::vector<std::uint32_t>> buckets) {
+  for (std::size_t i = begin; i < end; ++i) {
+    const auto& rec = packets[i];
+    if (!telescope::is_backscatter(rec)) continue;
+    const auto victim = telescope::classify_backscatter(rec).victim;
+    buckets[shard_of(victim, buckets.size())].push_back(
+        static_cast<std::uint32_t>(i));
+  }
+}
 
 }  // namespace
 
@@ -66,10 +107,33 @@ ParallelBackscatterDetector::ParallelBackscatterDetector(
 
 std::vector<telescope::TelescopeEvent> ParallelBackscatterDetector::detect(
     std::span<const net::PacketRecord> packets) {
+  if (packets.size() > std::numeric_limits<std::uint32_t>::max())
+    throw std::length_error("capture exceeds 2^32 packets");
   const std::size_t num_shards = parallel_.effective_shards();
+
+  // With several shards, two read-only passes over the capture run side by
+  // side: one finds the sweep points, the others bucket contiguous chunks.
+  // A shard's buckets, concatenated in chunk order, hold ascending indices.
+  const auto num_chunks =
+      static_cast<std::size_t>(std::max(parallel_.threads, 1));
+  std::vector<SweepTick> ticks;
+  std::vector<std::vector<std::uint32_t>> buckets(num_chunks * num_shards);
+  if (num_shards > 1) {
+    run_tasks(num_chunks + 1, parallel_.threads, [&](std::size_t task) {
+      if (task == 0) {
+        ticks = sweep_ticks(packets);
+        return;
+      }
+      const std::size_t chunk = task - 1;
+      bucket_backscatter(
+          packets, packets.size() * chunk / num_chunks,
+          packets.size() * task / num_chunks,
+          std::span(buckets).subspan(chunk * num_shards, num_shards));
+    });
+  }
+
   std::vector<std::vector<telescope::TelescopeEvent>> per_shard(num_shards);
   std::vector<TelescopeDetectStats> shard_stats(num_shards);
-
   run_tasks(num_shards, parallel_.threads, [&](std::size_t shard) {
     auto& events = per_shard[shard];
     TelescopeDetectStats& stats = shard_stats[shard];
@@ -83,21 +147,33 @@ std::vector<telescope::TelescopeEvent> ParallelBackscatterDetector::detect(
           }
         },
         flow_timeout_s_);
-    // Every worker walks the whole stream so its table's lazy sweep fires
-    // at exactly the sequential cadence (see detect.h); only this shard's
-    // backscatter mutates flow state.
-    for (const auto& rec : packets) {
-      if (!telescope::is_backscatter(rec)) {
-        table.advance(rec.timestamp());
-        continue;
+    auto add = [&](const net::PacketRecord& rec) {
+      ++stats.backscatter_packets;
+      table.add(rec.timestamp(), telescope::classify_backscatter(rec),
+                rec.ip_len, rec.dst);
+    };
+    if (num_shards == 1) {
+      // A lone shard owns every packet, so the capture itself is its
+      // partition and its own packets fire the sweeps.
+      for (const auto& rec : packets) {
+        if (telescope::is_backscatter(rec))
+          add(rec);
+        else
+          table.advance(rec.timestamp());
       }
-      const auto info = telescope::classify_backscatter(rec);
-      if (shard_of(info.victim, num_shards) == shard) {
-        ++stats.backscatter_packets;
-        table.add(rec.timestamp(), info, rec.ip_len, rec.dst);
-      } else {
-        table.advance(rec.timestamp());
+    } else {
+      // Merge this shard's packets with the broadcast sweep ticks in
+      // capture order; a tick goes before the packet at its own index, as
+      // the sequential sweep runs before that packet is added.
+      std::size_t next_tick = 0;
+      for (std::size_t chunk = 0; chunk < num_chunks; ++chunk) {
+        for (const std::uint32_t i : buckets[chunk * num_shards + shard]) {
+          while (next_tick < ticks.size() && ticks[next_tick].index <= i)
+            table.advance(ticks[next_tick++].ts);
+          add(packets[i]);
+        }
       }
+      while (next_tick < ticks.size()) table.advance(ticks[next_tick++].ts);
     }
     table.flush();
     std::sort(events.begin(), events.end(), telescope_event_less);
@@ -120,30 +196,26 @@ std::vector<telescope::TelescopeEvent> ParallelBackscatterDetector::detect(
 std::vector<amppot::AmpPotEvent> parallel_consolidate(
     std::span<const HoneypotLog> logs, const amppot::ConsolidatorConfig& config,
     const ParallelConfig& parallel) {
-  const std::size_t num_shards = parallel.effective_shards();
-  std::vector<std::vector<amppot::AmpPotEvent>> per_shard(num_shards);
-
-  run_tasks(num_shards, parallel.threads, [&](std::size_t shard) {
-    std::vector<amppot::AmpPotEvent> stage1;
-    std::vector<amppot::RequestRecord> filtered;
-    for (const auto& log : logs) {
-      filtered.clear();
-      for (const auto& req : log.requests) {
-        if (shard_of(req.source, num_shards) == shard) filtered.push_back(req);
-      }
-      // Sessions are keyed by (victim, protocol), so consolidating the
-      // victim-filtered sub-log yields exactly the sessions the full log
-      // would produce for this shard's victims.
-      auto events = amppot::consolidate_log(filtered, config, log.honeypot_id);
-      stage1.insert(stage1.end(), events.begin(), events.end());
-    }
-    per_shard[shard] = amppot::merge_fleet_events(std::move(stage1));
+  // Stage 1 is per honeypot: one task per log, results slotted by log index.
+  std::vector<std::vector<amppot::AmpPotEvent>> per_log(logs.size());
+  run_tasks(logs.size(), parallel.threads, [&](std::size_t i) {
+    per_log[i] =
+        amppot::consolidate_log(logs[i].requests, config, logs[i].honeypot_id);
   });
 
+  std::size_t total = 0;
+  for (const auto& events : per_log) total += events.size();
+  std::vector<amppot::AmpPotEvent> stage1;
+  stage1.reserve(total);
+  for (const auto& events : per_log)
+    stage1.insert(stage1.end(), events.begin(), events.end());
+
+  // Stage 2 sorts on a total order, so its output — already canonical — is a
+  // pure function of the stage-1 event set.
   ShardMetrics& metrics = ShardMetrics::get();
-  for (const auto& events : per_shard) metrics.shard_events.add(events.size());
+  metrics.shard_events.add(stage1.size());
   const obs::ScopedTimer merge_timer(metrics.merge_seconds);
-  return kway_merge(std::move(per_shard), amppot_event_less);
+  return amppot::merge_fleet_events(std::move(stage1));
 }
 
 std::vector<amppot::AmpPotEvent> parallel_harvest(

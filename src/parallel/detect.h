@@ -1,29 +1,33 @@
-// Sharded parallel front-ends for the two detection pipelines.
+// Parallel front-ends for the two detection pipelines.
 //
 // Both detectors keep all per-attack state keyed by the victim address
 // (telescope flows by victim, AmpPot sessions and fleet merge groups by
-// (victim, protocol)), so the packet/request stream can be split by
-// victim-hash across N workers, each running an unmodified sequential
-// detector over its shard, and the per-shard event runs recombined with a
-// deterministic k-way merge.
+// (victim, protocol)), so the work splits with no cross-worker state and
+// no worker has to read the whole input:
 //
-// The determinism invariant (tested in parallel_test, enforced in CI):
-// for any thread and shard count, the merged output is byte-identical to
-// the sequential detector's output in canonical order. Two details make
-// this exact rather than approximate:
+//  * Telescope: partition once. One pass, cut into contiguous chunks across
+//    the threads, buckets the index of every backscatter packet by its
+//    victim's shard (mix32 hash, shard.h). Each shard then runs an
+//    unmodified FlowTable over its own packets only. Flow expiry is a lazy
+//    sweep whose cadence depends on the timestamps of *all* packets
+//    (FlowTable sweeps when a packet arrives >= 60 s after the previous
+//    sweep), so a side pass over the timestamps finds the sequential sweep
+//    points and every shard receives each one as an advance() tick, placed
+//    before its packets with a larger index. Every shard therefore sweeps
+//    at exactly the sequential timestamps, and flow splitting matches the
+//    sequential table. Per-shard event runs are recombined with a k-way
+//    merge on the totally-ordered key (start, victim); victims are unique
+//    to a shard, so no cross-shard ties exist.
 //
-//  * Telescope flow expiry is driven by a lazy sweep whose cadence depends
-//    on the timestamps of *all* packets (FlowTable sweeps at most once per
-//    60 s of stream time). Each worker therefore scans the entire packet
-//    stream, feeding `add` for its own shard's backscatter and `advance`
-//    for everything else, so every shard's sweep schedule — and hence flow
-//    splitting — matches the sequential table exactly. The scan is cheap
-//    (backscatter test + one hash); the per-flow state updates, which
-//    dominate, are what gets divided N ways.
+//  * Honeypot: one task per log. Stage 1 (consolidate_log) is per
+//    honeypot, so each log is consolidated by one task into a slot chosen
+//    by log index, and merge_fleet_events runs once over the concatenated
+//    results. It sorts on a total order, so its output is a pure function
+//    of the event set.
 //
-//  * Events are merged on the totally-ordered key (start, victim
-//    [, protocol]); victims are unique to a shard, so no cross-shard ties
-//    exist and the merge order is a pure function of the event set.
+// The determinism invariant (tested in parallel_test, enforced in CI): for
+// any thread and shard count, the output is byte-identical to the
+// sequential detector's output in canonical order.
 #pragma once
 
 #include <cstdint>
@@ -43,9 +47,11 @@ namespace dosm::parallel {
 struct ParallelConfig {
   /// Worker threads; <= 1 runs every shard inline on the caller.
   int threads = 1;
-  /// Victim-hash shards (work-queue tasks); 0 means one per thread.
-  /// More shards than threads improves load balance on skewed victim
-  /// distributions at the cost of extra stream scans.
+  /// Victim-hash shards of the telescope detector (work-queue tasks); 0
+  /// means one per thread. More shards than threads improves load balance
+  /// on skewed victim distributions; each extra shard costs its own flow
+  /// table and one sweep per tick, not another read of the capture.
+  /// Honeypot consolidation runs one task per log and ignores it.
   int shards = 0;
 
   /// Shard count actually used: max(shards, 1), defaulted to threads.
@@ -111,10 +117,11 @@ struct HoneypotLog {
   std::span<const amppot::RequestRecord> requests;
 };
 
-/// Sharded equivalent of per-honeypot consolidate_log + fleet-level
-/// merge_fleet_events over a whole fleet's logs. Returns fleet-level events
-/// in canonical (start, victim, protocol) order, byte-identical to the
-/// sequential two-stage path for any thread/shard count.
+/// Parallel equivalent of per-honeypot consolidate_log + fleet-level
+/// merge_fleet_events over a whole fleet's logs: one consolidate_log task
+/// per log, then one fleet merge. Returns fleet-level events in canonical
+/// (start, victim, protocol) order, byte-identical to the sequential
+/// two-stage path for any thread count.
 std::vector<amppot::AmpPotEvent> parallel_consolidate(
     std::span<const HoneypotLog> logs,
     const amppot::ConsolidatorConfig& config = {},

@@ -1,7 +1,6 @@
-// Victim-hash sharding for the detection pipeline.
+// Victim-hash sharding for the telescope detector.
 //
-// Every piece of per-attack detector state — a FlowTable flow, an AmpPot
-// consolidation session, a fleet merge group — is keyed by the victim
+// Telescope detector state (a FlowTable flow) is keyed by the victim
 // address, so partitioning victims across shards partitions the detector
 // state with no cross-shard interaction. The shard function is a fixed
 // avalanche mix (not std::hash, whose value is implementation-defined) so

@@ -2,9 +2,16 @@
 // two-stage event consolidator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "amppot/consolidator.h"
 #include "amppot/honeypot.h"
 #include "amppot/protocols.h"
+#include "common/rng.h"
+#include "common/sanitize.h"
 
 namespace dosm::amppot {
 namespace {
@@ -230,6 +237,144 @@ TEST(Consolidator, MinRequestsBoundaryIsStrictForAnyConfig) {
   EXPECT_TRUE(consolidate_log(log, config).empty());
   log.push_back({5.0, victim, ReflectionProtocol::kSsdp, 8});
   EXPECT_EQ(consolidate_log(log, config).size(), 1u);
+}
+
+// --- consolidate_log golden pins ------------------------------------------
+//
+// Exact stage-1 output (every field, in emission order) for the session
+// rules: gap split, 24 h cap split, the exclusive 100-request threshold, one
+// victim under two protocols, and many interleaved victims. The expected
+// values were recorded from the ordered-map implementation; any change to
+// the open-session container must reproduce them bit for bit.
+
+struct Expected {
+  std::uint32_t victim;
+  ReflectionProtocol protocol;
+  double start;
+  double end;
+  std::uint64_t requests;
+};
+
+void expect_events(const std::vector<AmpPotEvent>& actual,
+                   const std::vector<Expected>& expected,
+                   std::int32_t honeypot_id) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(actual[i].victim.value(), expected[i].victim) << "row " << i;
+    EXPECT_EQ(actual[i].protocol, expected[i].protocol) << "row " << i;
+    EXPECT_EQ(actual[i].start, expected[i].start) << "row " << i;
+    EXPECT_EQ(actual[i].end, expected[i].end) << "row " << i;
+    EXPECT_EQ(actual[i].requests, expected[i].requests) << "row " << i;
+    EXPECT_EQ(actual[i].honeypots, 1u) << "row " << i;
+    EXPECT_EQ(actual[i].honeypot_id, honeypot_id) << "row " << i;
+  }
+}
+
+/// One FNV-1a step per byte of `v`, little-endian.
+DOSM_ALLOW_UNSIGNED_WRAP void fnv1a(std::uint64_t& h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xffU;
+    h *= 0x100000001b3ULL;
+  }
+}
+
+/// FNV-1a over every field of every event, in emission order.
+std::uint64_t digest(const std::vector<AmpPotEvent>& events) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&](std::uint64_t v) { fnv1a(h, v); };
+  for (const auto& e : events) {
+    mix(e.victim.value());
+    mix(static_cast<std::uint64_t>(e.protocol));
+    mix(std::bit_cast<std::uint64_t>(e.start));
+    mix(std::bit_cast<std::uint64_t>(e.end));
+    mix(e.requests);
+    mix(e.honeypots);
+    mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(e.honeypot_id)));
+  }
+  return h;
+}
+
+TEST(ConsolidatorGolden, GapSplit) {
+  const Ipv4Addr victim(9, 9, 9, 9);
+  // 150 requests over [0, 149]; a lull of exactly gap_timeout_s (3600 s,
+  // not a split); 150 more; then a lull just over the timeout (a split).
+  auto log = flood(victim, ReflectionProtocol::kNtp, 0.0, 150.0, 1.0);
+  auto second = flood(victim, ReflectionProtocol::kNtp, 3749.0, 3899.0, 1.0);
+  auto third = flood(victim, ReflectionProtocol::kNtp, 7498.5, 7648.5, 1.0);
+  log.insert(log.end(), second.begin(), second.end());
+  log.insert(log.end(), third.begin(), third.end());
+  expect_events(consolidate_log(log, {}, 4),
+                {{victim.value(), ReflectionProtocol::kNtp, 0.0, 3898.0, 300},
+                 {victim.value(), ReflectionProtocol::kNtp, 7498.5, 7647.5,
+                  150}},
+                4);
+}
+
+TEST(ConsolidatorGolden, DurationCapSplit) {
+  const Ipv4Addr victim(10, 0, 0, 1);
+  // One request every 500 s (well under the gap) for ~44 h: the session is
+  // cut when a request lands more than 24 h after the session start.
+  const auto log =
+      flood(victim, ReflectionProtocol::kDns, 0.0, 161000.5, 1.0 / 500.0);
+  ASSERT_EQ(log.size(), 323u);
+  expect_events(consolidate_log(log),
+                {{victim.value(), ReflectionProtocol::kDns, 0.0, 86000.0, 173},
+                 {victim.value(), ReflectionProtocol::kDns, 86500.0, 161000.0,
+                  150}},
+                -1);
+}
+
+TEST(ConsolidatorGolden, HundredVersusHundredAndOne) {
+  const Ipv4Addr at_threshold(1, 0, 0, 100), above(1, 0, 0, 101);
+  auto log = flood(at_threshold, ReflectionProtocol::kSsdp, 0.0, 100.0, 1.0);
+  auto other = flood(above, ReflectionProtocol::kSsdp, 0.5, 101.5, 1.0);
+  log.insert(log.end(), other.begin(), other.end());
+  std::sort(log.begin(), log.end(),
+            [](const RequestRecord& a, const RequestRecord& b) {
+              return a.ts < b.ts;
+            });
+  ASSERT_EQ(log.size(), 201u);
+  expect_events(consolidate_log(log, {}, 2),
+                {{above.value(), ReflectionProtocol::kSsdp, 0.5, 100.5, 101}},
+                2);
+}
+
+TEST(ConsolidatorGolden, OneVictimTwoProtocols) {
+  const Ipv4Addr victim(8, 8, 4, 4);
+  std::vector<RequestRecord> log;
+  for (int i = 0; i < 400; ++i) {
+    const auto protocol =
+        i % 3 == 0 ? ReflectionProtocol::kDns : ReflectionProtocol::kCharGen;
+    log.push_back({1000.0 + i, victim, protocol, 8});
+  }
+  // DNS starts first (t = 1000), CharGen a second later.
+  expect_events(
+      consolidate_log(log, {}, 0),
+      {{victim.value(), ReflectionProtocol::kDns, 1000.0, 1399.0, 134},
+       {victim.value(), ReflectionProtocol::kCharGen, 1001.0, 1398.0, 266}},
+      0);
+}
+
+TEST(ConsolidatorGolden, ManyInterleavedVictims) {
+  // 60k requests from 60 (victim, protocol) keys with skewed popularity,
+  // bursty arrivals and occasional multi-hour lulls, so sessions open, split
+  // and close in a heavily interleaved order, on both sides of the request
+  // threshold. Repeated timestamps exercise the (start, victim, protocol)
+  // emission order.
+  Rng rng(20170601);
+  std::vector<RequestRecord> log;
+  double t = 1.4e9;
+  for (int i = 0; i < 60000; ++i) {
+    if (rng.bernoulli(0.0003)) t += 3600.0 + rng.uniform(0.0, 7200.0);
+    if (!rng.bernoulli(0.2)) t += rng.uniform(0.0, 2.0);
+    const auto key =
+        static_cast<std::uint32_t>(rng.next_below(rng.next_below(60) + 1));
+    log.push_back({t, Ipv4Addr(0xc6336400U + key / 3),
+                   static_cast<ReflectionProtocol>(key % 3), 8});
+  }
+  const auto events = consolidate_log(log, {}, 17);
+  EXPECT_EQ(events.size(), 170u);
+  EXPECT_EQ(digest(events), 4778198584200676949ULL);
 }
 
 TEST(FleetMerge, DistinctProtocolsStaySeparate) {

@@ -7,17 +7,20 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "net/headers.h"
 #include "parallel/detect.h"
 #include "parallel/merge.h"
 #include "parallel/shard.h"
 #include "parallel/work_queue.h"
 #include "parallel/workload.h"
+#include "telescope/backscatter.h"
 #include "query/event_frame.h"
 
 namespace dosm::parallel {
@@ -257,6 +260,295 @@ TEST(ParallelDetect, HarvestMatchesFleetHarvest) {
   // Logs are cleared afterwards, like HoneypotFleet::harvest.
   for (const auto& honeypot : parallel_side.fleet->honeypots())
     EXPECT_TRUE(honeypot.log().empty());
+}
+
+// --- sweep-boundary captures --------------------------------------------
+//
+// FlowTable expires idle flows lazily, at sweeps that fire when a packet
+// arrives 60 s or more after the previous sweep. Whether a flow expires, and
+// so whether a victim's later packets join it or open a new one, depends on
+// the timestamps of every packet in the capture, not only the victim's own.
+// These hand-built captures put the expiring (or non-expiring) sweep on
+// another shard's packets or on non-backscatter packets.
+
+constexpr UnixSeconds kT0 = 1'500'000'000;  // a whole minute: kT0 % 60 == 0
+
+/// TCP SYN-ACK backscatter from `victim` at kT0 + sec + usec.
+net::PacketRecord backscatter(Ipv4Addr victim, std::int64_t sec,
+                              std::uint32_t usec = 0) {
+  net::PacketRecord rec;
+  rec.ts_sec = kT0 + sec;
+  rec.ts_usec = usec;
+  rec.src = victim;
+  rec.dst = Ipv4Addr(44, 0, static_cast<std::uint8_t>(sec & 0xff),
+                     static_cast<std::uint8_t>((sec >> 8) & 0xff));
+  rec.proto = static_cast<std::uint8_t>(net::IpProto::kTcp);
+  rec.ip_len = 40;
+  rec.src_port = 80;
+  rec.dst_port = 40000;
+  rec.tcp_flags = net::tcp_flags::kSyn | net::tcp_flags::kAck;
+  return rec;
+}
+
+/// A UDP scan packet: seen by the detector, but not backscatter.
+net::PacketRecord noise(std::int64_t sec, std::uint32_t usec = 0) {
+  net::PacketRecord rec;
+  rec.ts_sec = kT0 + sec;
+  rec.ts_usec = usec;
+  rec.src = Ipv4Addr(203, 0, 113, 9);
+  rec.dst = Ipv4Addr(44, 1, 2, 3);
+  rec.proto = static_cast<std::uint8_t>(net::IpProto::kUdp);
+  rec.ip_len = 60;
+  rec.src_port = 5353;
+  rec.dst_port = 53;
+  return rec;
+}
+
+/// One backscatter packet per second from `victim` over [from, to].
+void burst(std::vector<net::PacketRecord>& capture, Ipv4Addr victim,
+           std::int64_t from, std::int64_t to) {
+  for (std::int64_t t = from; t <= to; ++t)
+    capture.push_back(backscatter(victim, t));
+}
+
+void sort_by_time(std::vector<net::PacketRecord>& capture) {
+  std::stable_sort(capture.begin(), capture.end(),
+                   [](const net::PacketRecord& a, const net::PacketRecord& b) {
+                     return a.timestamp() < b.timestamp();
+                   });
+}
+
+const Ipv4Addr kVictimA(192, 0, 2, 1);
+
+/// A victim whose shard differs from kVictimA's at every sharded count the
+/// matrix below uses, so A's expiry must come from another shard's packets.
+Ipv4Addr victim_on_other_shard() {
+  for (std::uint32_t v = 0xc6336401U;; ++v) {
+    const Ipv4Addr candidate(v);
+    bool distinct = true;
+    for (const std::size_t n : {3u, 13u, 64u})
+      distinct &= shard_of(candidate, n) != shard_of(kVictimA, n);
+    if (distinct) return candidate;
+  }
+}
+
+struct SequentialResult {
+  std::vector<telescope::TelescopeEvent> events;
+  TelescopeDetectStats stats;
+};
+
+SequentialResult run_sequential(std::span<const net::PacketRecord> capture) {
+  SequentialResult result;
+  telescope::BackscatterDetector sequential(
+      [&](const telescope::TelescopeEvent& e) { result.events.push_back(e); });
+  for (const auto& rec : capture) sequential.on_packet(rec);
+  sequential.finish();
+  canonical_sort(result.events);
+  result.stats = {sequential.packets_seen(), sequential.backscatter_packets(),
+                  sequential.flows_filtered(), sequential.events_emitted()};
+  return result;
+}
+
+/// The sharded detector must equal the sequential one, events and counters,
+/// at threads {1, 2, 4, 8} x shards {0, 3, 13, 64}.
+void expect_matches_sequential(std::span<const net::PacketRecord> capture,
+                               const SequentialResult& expected) {
+  for (const int threads : {1, 2, 4, 8}) {
+    for (const int shards : {0, 3, 13, 64}) {
+      const std::string label = "threads=" + std::to_string(threads) +
+                                " shards=" + std::to_string(shards);
+      ParallelBackscatterDetector detector(ParallelConfig{threads, shards});
+      expect_identical(detector.detect(capture), expected.events, label);
+      const TelescopeDetectStats& stats = detector.stats();
+      EXPECT_EQ(stats.packets_seen, expected.stats.packets_seen) << label;
+      EXPECT_EQ(stats.backscatter_packets, expected.stats.backscatter_packets)
+          << label;
+      EXPECT_EQ(stats.flows_filtered, expected.stats.flows_filtered) << label;
+      EXPECT_EQ(stats.events_emitted, expected.stats.events_emitted) << label;
+    }
+  }
+}
+
+std::size_t events_of(const std::vector<telescope::TelescopeEvent>& events,
+                      Ipv4Addr victim) {
+  return static_cast<std::size_t>(
+      std::count_if(events.begin(), events.end(),
+                    [&](const auto& e) { return e.victim == victim; }));
+}
+
+TEST(ParallelSweep, OtherShardsTrafficExpiresIdleFlow) {
+  // A attacks for 30 s, then only B's backscatter and scan noise arrive for
+  // 400 s, then A attacks again. A sweep fired by B's or the noise's
+  // packets expires A's first flow before A returns.
+  const Ipv4Addr b = victim_on_other_shard();
+  std::vector<net::PacketRecord> capture;
+  burst(capture, kVictimA, 0, 29);
+  for (std::int64_t t = 30; t < 430; t += 5) {
+    capture.push_back(t % 10 == 0 ? backscatter(b, t) : noise(t));
+  }
+  burst(capture, kVictimA, 430, 529);
+  sort_by_time(capture);
+
+  const auto expected = run_sequential(capture);
+  ASSERT_EQ(events_of(expected.events, kVictimA), 1u);  // the 100-s burst
+  EXPECT_EQ(expected.stats.flows_filtered, 2u);  // A's 30-s burst, and B
+  expect_matches_sequential(capture, expected);
+}
+
+TEST(ParallelSweep, LateSweepKeepsReturningVictimInOneFlow) {
+  // A is idle for 306 s, past the 300 s timeout, but the last sweep before
+  // A returns (fired by scan noise at t = 360, after B's packets fired the
+  // ones before it) came when A had been idle only 271 s, and A's return
+  // 35 s later is too soon for another sweep. The
+  // sequential detector therefore folds A's second burst into its first
+  // flow; a shard that swept on its own packets alone would split it.
+  const Ipv4Addr b = victim_on_other_shard();
+  std::vector<net::PacketRecord> capture;
+  burst(capture, kVictimA, 0, 89);
+  for (std::int64_t t = 100; t <= 300; t += 10)
+    capture.push_back(backscatter(b, t));
+  for (std::int64_t t = 310; t <= 390; t += 10) capture.push_back(noise(t));
+  burst(capture, kVictimA, 395, 484);
+  sort_by_time(capture);
+
+  const auto expected = run_sequential(capture);
+  ASSERT_EQ(events_of(expected.events, kVictimA), 1u);
+  EXPECT_EQ(expected.events.front().packets, 180u);
+  expect_matches_sequential(capture, expected);
+}
+
+TEST(ParallelSweep, SweepsExactlySixtySecondsApart) {
+  // Non-backscatter packets exactly 60.0 s apart each fire a sweep (the
+  // rule is now - last_sweep >= 60). A returns 35 s after the sweep at
+  // t = 360, when it had been idle 271 s, so it stays one flow; one
+  // microsecond short of 60 s (t = 419.999999) fires no sweep.
+  std::vector<net::PacketRecord> capture;
+  burst(capture, kVictimA, 0, 89);
+  for (std::int64_t t = 120; t <= 360; t += 60) capture.push_back(noise(t));
+  burst(capture, kVictimA, 395, 419);
+  capture.push_back(noise(419, 999999));
+  burst(capture, kVictimA, 420, 484);
+  sort_by_time(capture);
+
+  const auto expected = run_sequential(capture);
+  ASSERT_EQ(events_of(expected.events, kVictimA), 1u);
+  expect_matches_sequential(capture, expected);
+
+  // Moving the last grid packet one microsecond earlier (t = 359.999999)
+  // drops its sweep: the last sweep before A's return is at t = 300, so
+  // A's return itself sweeps (95 s later) and splits the flow.
+  std::vector<net::PacketRecord> shifted;
+  burst(shifted, kVictimA, 0, 89);
+  for (std::int64_t t = 120; t <= 300; t += 60) shifted.push_back(noise(t));
+  shifted.push_back(noise(359, 999999));
+  burst(shifted, kVictimA, 395, 484);
+  sort_by_time(shifted);
+
+  const auto split = run_sequential(shifted);
+  ASSERT_EQ(events_of(split.events, kVictimA), 2u);
+  expect_matches_sequential(shifted, split);
+}
+
+TEST(ParallelSweep, EmptyCapture) {
+  const std::vector<net::PacketRecord> capture;
+  const auto expected = run_sequential(capture);
+  ASSERT_TRUE(expected.events.empty());
+  expect_matches_sequential(capture, expected);
+}
+
+TEST(ParallelSweep, AllNonBackscatterCapture) {
+  std::vector<net::PacketRecord> capture;
+  for (std::int64_t t = 0; t < 1000; t += 7) capture.push_back(noise(t));
+  const auto expected = run_sequential(capture);
+  ASSERT_TRUE(expected.events.empty());
+  ASSERT_EQ(expected.stats.packets_seen, capture.size());
+  expect_matches_sequential(capture, expected);
+}
+
+TEST(ParallelSweep, MoreShardsThanVictims) {
+  // Three victims, up to 64 shards: most shards own no packets and see
+  // only the sweep ticks.
+  const Ipv4Addr c(198, 51, 100, 7);
+  const Ipv4Addr b = victim_on_other_shard();
+  std::vector<net::PacketRecord> capture;
+  burst(capture, kVictimA, 0, 119);
+  burst(capture, b, 60, 200);
+  burst(capture, c, 500, 600);
+  burst(capture, kVictimA, 900, 1000);
+  for (std::int64_t t = 0; t < 1200; t += 45) capture.push_back(noise(t));
+  sort_by_time(capture);
+
+  const auto expected = run_sequential(capture);
+  ASSERT_EQ(expected.events.size(), 4u);
+  expect_matches_sequential(capture, expected);
+}
+
+// --- parallel_consolidate edge cases ------------------------------------
+
+/// Sequential oracle: stage 1 per log, then one fleet merge.
+std::vector<amppot::AmpPotEvent> sequential_consolidate(
+    std::span<const HoneypotLog> logs) {
+  std::vector<amppot::AmpPotEvent> stage1;
+  for (const auto& log : logs) {
+    const auto events =
+        amppot::consolidate_log(log.requests, {}, log.honeypot_id);
+    stage1.insert(stage1.end(), events.begin(), events.end());
+  }
+  return amppot::merge_fleet_events(std::move(stage1));
+}
+
+std::vector<amppot::RequestRecord> reflection_log(Ipv4Addr victim,
+                                                  double start, int count) {
+  std::vector<amppot::RequestRecord> log;
+  for (int i = 0; i < count; ++i)
+    log.push_back({start + i, victim, amppot::ReflectionProtocol::kNtp, 48});
+  return log;
+}
+
+TEST(ParallelConsolidate, EmptyLogsAndNoLogs) {
+  EXPECT_TRUE(parallel_consolidate({}, {}, ParallelConfig{4, 0}).empty());
+
+  const std::vector<amppot::RequestRecord> empty;
+  const auto full = reflection_log(Ipv4Addr(9, 9, 9, 9), 0.0, 150);
+  const std::vector<HoneypotLog> logs = {{0, empty}, {1, full}, {2, empty}};
+  const auto expected = sequential_consolidate(logs);
+  ASSERT_EQ(expected.size(), 1u);
+  for (const int threads : {1, 2, 8}) {
+    expect_identical(parallel_consolidate(logs, {}, ParallelConfig{threads, 0}),
+                     expected, "threads=" + std::to_string(threads));
+  }
+}
+
+TEST(ParallelConsolidate, MoreThreadsThanLogs) {
+  // Two honeypots see overlapping floods of one victim: the fleet merge
+  // folds them into one event with two contributors.
+  const Ipv4Addr victim(10, 1, 2, 3);
+  const auto first = reflection_log(victim, 0.0, 300);
+  const auto second = reflection_log(victim, 100.0, 300);
+  const std::vector<HoneypotLog> logs = {{5, first}, {6, second}};
+  const auto expected = sequential_consolidate(logs);
+  ASSERT_EQ(expected.size(), 1u);
+  ASSERT_EQ(expected[0].honeypots, 2u);
+  for (const int shards : {0, 3, 64}) {
+    expect_identical(parallel_consolidate(logs, {}, ParallelConfig{16, shards}),
+                     expected, "threads=16 shards=" + std::to_string(shards));
+  }
+}
+
+TEST(ParallelConsolidate, UnknownHoneypotIds) {
+  // honeypot_id = -1 marks an unknown reflector: overlapping events keep
+  // their own counts instead of deduplicating by id.
+  const Ipv4Addr victim(10, 9, 8, 7);
+  const auto a = reflection_log(victim, 0.0, 200);
+  const auto b = reflection_log(victim, 50.0, 200);
+  const auto c = reflection_log(Ipv4Addr(10, 9, 8, 6), 75.0, 200);
+  const std::vector<HoneypotLog> logs = {{-1, a}, {-1, b}, {3, c}, {-1, c}};
+  const auto expected = sequential_consolidate(logs);
+  ASSERT_EQ(expected.size(), 2u);
+  for (const int threads : {1, 3, 8}) {
+    expect_identical(parallel_consolidate(logs, {}, ParallelConfig{threads, 0}),
+                     expected, "threads=" + std::to_string(threads));
+  }
 }
 
 // --- FrameBuilder parallel build ---------------------------------------
