@@ -1,7 +1,5 @@
 #include "serve/api.h"
 
-#include <charconv>
-
 #include "common/time.h"
 #include "serve/json.h"
 #include "serve/metrics.h"
@@ -11,24 +9,6 @@ namespace dosm::serve {
 namespace {
 
 constexpr std::string_view kJson = "application/json";
-
-bool parse_u64(const std::string& s, std::uint64_t& out) {
-  const auto [ptr, ec] =
-      std::from_chars(s.data(), s.data() + s.size(), out);
-  return ec == std::errc{} && ptr == s.data() + s.size();
-}
-
-bool parse_f64(const std::string& s, double& out) {
-  const auto [ptr, ec] =
-      std::from_chars(s.data(), s.data() + s.size(), out);
-  return ec == std::errc{} && ptr == s.data() + s.size();
-}
-
-ApiCall bad_request(std::string error) {
-  ApiCall call;
-  call.error = std::move(error);
-  return call;
-}
 
 /// Canonical, injective rendering of the resolved call — the cache-key
 /// material. Doubles render via to_chars shortest-round-trip, so two
@@ -64,56 +44,53 @@ std::string canonicalize(const ApiCall& call) {
   return out;
 }
 
-/// Applies one query parameter to the call. Returns an error message, or
-/// empty on success. Day/second time params are collected by the caller.
+/// Applies one non-time query parameter to the call. Returns an error
+/// message, or empty on success; malformed prefixes and countries throw
+/// std::invalid_argument, which the caller reports.
 std::string apply_param(const std::string& key, const std::string& value,
                         ApiCall& call) {
   query::Query& q = call.query;
-  try {
-    if (key == "source") {
-      if (value == "telescope")
-        q.from_source(core::SourceFilter::kTelescope);
-      else if (value == "honeypot")
-        q.from_source(core::SourceFilter::kHoneypot);
-      else if (value == "combined")
-        q.from_source(core::SourceFilter::kCombined);
-      else
-        return "source must be telescope|honeypot|combined";
-    } else if (key == "prefix") {
-      q.in_prefix(net::Prefix::parse(value));
-    } else if (key == "asn") {
-      std::uint64_t asn = 0;
-      if (!parse_u64(value, asn) || asn > 0xffffffffull)
-        return "malformed asn";
-      q.in_asn(static_cast<meta::Asn>(asn));
-    } else if (key == "country") {
-      q.in_country(meta::CountryCode(value));
-    } else if (key == "port") {
-      std::uint64_t port = 0;
-      if (!parse_u64(value, port) || port > 0xffff) return "malformed port";
-      q.on_port(static_cast<std::uint16_t>(port));
-    } else if (key == "min_intensity") {
-      double intensity = 0.0;
-      if (!parse_f64(value, intensity)) return "malformed min_intensity";
-      q.at_least(intensity);
-    } else if (key == "agg") {
-      if (value != "summary" && value != "daily" && value != "top-targets" &&
-          value != "top-asns" && value != "top-countries" && value != "events")
-        return "unknown agg: " + value;
-      call.agg = value;
-    } else if (key == "k") {
-      std::uint64_t k = 0;
-      if (!parse_u64(value, k) || k == 0 || k > kMaxK)
-        return "k must be in [1, " + std::to_string(kMaxK) + "]";
-      call.k = static_cast<std::size_t>(k);
-    } else if (key == "explain") {
-      if (value != "0" && value != "1") return "explain must be 0 or 1";
-      call.explain = value == "1";
-    } else {
-      return "unknown parameter: " + key;
-    }
-  } catch (const std::invalid_argument& e) {
-    return std::string("malformed ") + key + ": " + e.what();
+  if (key == "source") {
+    if (value == "telescope")
+      q.from_source(core::SourceFilter::kTelescope);
+    else if (value == "honeypot")
+      q.from_source(core::SourceFilter::kHoneypot);
+    else if (value == "combined")
+      q.from_source(core::SourceFilter::kCombined);
+    else
+      return "source must be telescope|honeypot|combined";
+  } else if (key == "prefix") {
+    q.in_prefix(net::Prefix::parse(value));
+  } else if (key == "asn") {
+    std::uint64_t asn = 0;
+    if (!parse_number(value, asn) || asn > 0xffffffffull)
+      return "malformed asn";
+    q.in_asn(static_cast<meta::Asn>(asn));
+  } else if (key == "country") {
+    q.in_country(meta::CountryCode(value));
+  } else if (key == "port") {
+    std::uint64_t port = 0;
+    if (!parse_number(value, port) || port > 0xffff) return "malformed port";
+    q.on_port(static_cast<std::uint16_t>(port));
+  } else if (key == "min_intensity") {
+    double intensity = 0.0;
+    if (!parse_number(value, intensity)) return "malformed min_intensity";
+    q.at_least(intensity);
+  } else if (key == "agg") {
+    if (value != "summary" && value != "daily" && value != "top-targets" &&
+        value != "top-asns" && value != "top-countries" && value != "events")
+      return "unknown agg: " + value;
+    call.agg = value;
+  } else if (key == "k") {
+    std::uint64_t k = 0;
+    if (!parse_number(value, k) || k == 0 || k > kMaxK)
+      return "k must be in [1, " + std::to_string(kMaxK) + "]";
+    call.k = static_cast<std::size_t>(k);
+  } else if (key == "explain") {
+    if (value != "0" && value != "1") return "explain must be 0 or 1";
+    call.explain = value == "1";
+  } else {
+    return "unknown parameter: " + key;
   }
   return {};
 }
@@ -157,22 +134,30 @@ ApiResponse execute_health(const query::Snapshot* snapshot) {
   return ApiResponse{200, std::string(kJson), std::move(w).take()};
 }
 
-ApiCall parse_query_request(const HttpRequest& request,
-                            const StudyWindow& window) {
+ApiCall bad_request(std::string error) {
   ApiCall call;
+  call.error = std::move(error);
+  return call;
+}
 
-  // POST bodies carry form-encoded parameters appended after URL ones.
-  std::vector<std::pair<std::string, std::string>> params = request.params;
+std::string find_duplicate(const Params& params) {
+  for (std::size_t i = 0; i < params.size(); ++i)
+    for (std::size_t j = 0; j < i; ++j)
+      if (params[j].first == params[i].first)
+        return "duplicate parameter: " + params[i].first;
+  return {};
+}
+
+std::string collect_params(const HttpRequest& request, Params& params) {
+  params = request.params;
   if (request.method == "POST" && !request.body.empty() &&
       !parse_query_string(request.body, params))
-    return bad_request("malformed form body");
+    return "malformed form body";
+  return find_duplicate(params);
+}
 
-  // A key given twice (URL and body combined) is rejected rather than
-  // last-wins: silently dropping the first value would let two different
-  // request strings canonicalize to the same cache key.
-  std::vector<std::string_view> seen;
-  seen.reserve(params.size());
-
+ApiCall parse_query_params(const Params& params, const StudyWindow& window) {
+  ApiCall call;
   // Time parameters resolve to one half-open [begin, end) range. Days and
   // raw seconds are mutually exclusive.
   std::optional<CivilDate> from;
@@ -180,9 +165,6 @@ ApiCall parse_query_request(const HttpRequest& request,
   std::optional<double> t0;
   std::optional<double> t1;
   for (const auto& [key, value] : params) {
-    for (const std::string_view prior : seen)
-      if (prior == key) return bad_request("duplicate parameter: " + key);
-    seen.push_back(key);
     try {
       if (key == "from") {
         from = parse_civil(value);
@@ -190,11 +172,11 @@ ApiCall parse_query_request(const HttpRequest& request,
         to = parse_civil(value);
       } else if (key == "t0") {
         double t = 0.0;
-        if (!parse_f64(value, t)) return bad_request("malformed t0");
+        if (!parse_number(value, t)) return bad_request("malformed t0");
         t0 = t;
       } else if (key == "t1") {
         double t = 0.0;
-        if (!parse_f64(value, t)) return bad_request("malformed t1");
+        if (!parse_number(value, t)) return bad_request("malformed t1");
         t1 = t;
       } else {
         const std::string error = apply_param(key, value, call);
@@ -221,6 +203,14 @@ ApiCall parse_query_request(const HttpRequest& request,
 
   call.canonical = canonicalize(call);
   return call;
+}
+
+ApiCall parse_query_request(const HttpRequest& request,
+                            const StudyWindow& window) {
+  Params params;
+  if (std::string error = collect_params(request, params); !error.empty())
+    return bad_request(std::move(error));
+  return parse_query_params(params, window);
 }
 
 ApiResponse execute_query(const query::Snapshot& snapshot, const ApiCall& call,

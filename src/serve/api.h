@@ -34,6 +34,7 @@
 // worker count, cache on or off) falls out of that purity.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -90,9 +91,33 @@ struct ApiResponse {
 /// Maximum rows a top-k / events listing may request.
 inline constexpr std::size_t kMaxK = 100000;
 
-/// Parses a /query request (GET params, plus form body on POST). Time
+/// Parses all of `text` as a T with std::from_chars: no leading space or
+/// '+', no sign on unsigned types, nothing left over. The number grammar of
+/// every endpoint and of the `dosmeter` CLI flags.
+template <typename T>
+bool parse_number(std::string_view text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc{} && ptr == end;
+}
+
+/// A call carrying only `error` (the router answers 400 with it).
+ApiCall bad_request(std::string error);
+
+/// "duplicate parameter: <key>" for the first key given twice, else empty.
+std::string find_duplicate(const Params& params);
+
+/// Collects a request's parameters — the URL's, then on POST the form
+/// body's — and rejects duplicate keys. Returns the 400 message, or empty.
+std::string collect_params(const HttpRequest& request, Params& params);
+
+/// The /query grammar over collected parameters (the list above); also
+/// parses `dosmeter query` and `dosmeter archive load` filter flags. Time
 /// filters resolve against `window`, so the canonical form is fully
 /// resolved before caching. Never throws; errors land in ApiCall::error.
+ApiCall parse_query_params(const Params& params, const StudyWindow& window);
+
+/// collect_params + parse_query_params for one /query request.
 ApiCall parse_query_request(const HttpRequest& request,
                             const StudyWindow& window);
 

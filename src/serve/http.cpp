@@ -72,9 +72,7 @@ ParseResult fail(ParseStatus status, std::string error) {
 
 }  // namespace
 
-bool parse_query_string(
-    std::string_view text,
-    std::vector<std::pair<std::string, std::string>>& params) {
+bool parse_query_string(std::string_view text, Params& params) {
   while (!text.empty()) {
     const std::size_t amp = text.find('&');
     const std::string_view pair =

@@ -49,11 +49,14 @@ enum class ParseStatus : std::uint8_t {
   kTooLarge,   // exceeds an HttpLimits ceiling — respond 431/413 and close
 };
 
+/// Decoded (key, value) query/form parameters, in order.
+using Params = std::vector<std::pair<std::string, std::string>>;
+
 struct HttpRequest {
   std::string method;   // upper-case: GET / POST / HEAD
   std::string target;   // raw request target, e.g. "/query?agg=summary"
   std::string path;     // percent-decoded path, e.g. "/query"
-  std::vector<std::pair<std::string, std::string>> params;   // decoded, in order
+  Params params;  // decoded, in order
   std::vector<std::pair<std::string, std::string>> headers;  // names lowercased
   std::string body;
   bool keep_alive = true;  // HTTP/1.1 default, honoring Connection:
@@ -78,9 +81,7 @@ ParseResult parse_request(std::string_view data, const HttpLimits& limits);
 
 /// Parses an "a=1&b=2" query/form string into decoded pairs appended to
 /// `params` (in input order). Returns false on a malformed percent escape.
-bool parse_query_string(
-    std::string_view text,
-    std::vector<std::pair<std::string, std::string>>& params);
+bool parse_query_string(std::string_view text, Params& params);
 
 /// The standard reason phrase for the status codes the server emits.
 std::string_view reason_phrase(int status);

@@ -1,6 +1,5 @@
 #include "serve/subscribe_api.h"
 
-#include <charconv>
 #include <optional>
 #include <string>
 #include <utility>
@@ -12,57 +11,23 @@
 #include "subscribe/dispatcher.h"
 
 namespace dosm::serve {
-namespace {
 
-constexpr std::string_view kJson = "application/json";
-constexpr int kMaxWaitMs = 10000;
-
-bool parse_u64(const std::string& s, std::uint64_t& out) {
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
-  return ec == std::errc{} && ptr == s.data() + s.size();
-}
-
-ApiCall bad_request(std::string error) {
+ApiCall parse_subscribe_params(const Params& params) {
   ApiCall call;
-  call.error = std::move(error);
-  return call;
-}
-
-/// Collects URL + POST-body parameters with the same duplicate-key reject
-/// the query endpoint applies. Returns an error message, or empty.
-std::string collect_params(
-    const HttpRequest& request,
-    std::vector<std::pair<std::string, std::string>>& params) {
-  params = request.params;
-  if (request.method == "POST" && !request.body.empty() &&
-      !parse_query_string(request.body, params))
-    return "malformed form body";
-  for (std::size_t i = 0; i < params.size(); ++i)
-    for (std::size_t j = 0; j < i; ++j)
-      if (params[j].first == params[i].first)
-        return "duplicate parameter: " + params[i].first;
-  return {};
-}
-
-ApiCall parse_subscribe(const HttpRequest& request, const RequestContext&) {
-  ApiCall call;
-  std::vector<std::pair<std::string, std::string>> params;
-  if (std::string error = collect_params(request, params); !error.empty())
-    return bad_request(std::move(error));
   for (const auto& [key, value] : params) {
     try {
       if (key == "prefix") {
         call.predicate.match_prefix(net::Prefix::parse(value));
       } else if (key == "asn") {
         std::uint64_t asn = 0;
-        if (!parse_u64(value, asn) || asn > 0xffffffffull)
+        if (!parse_number(value, asn) || asn > 0xffffffffull)
           return bad_request("malformed asn");
         call.predicate.match_asn(static_cast<meta::Asn>(asn));
       } else if (key == "country") {
         call.predicate.match_country(meta::CountryCode(value));
       } else if (key == "proto") {
         std::uint64_t proto = 0;
-        if (!parse_u64(value, proto) || proto > 0xff)
+        if (!parse_number(value, proto) || proto > 0xff)
           return bad_request("malformed proto");
         call.predicate.match_proto(static_cast<std::uint8_t>(proto));
       } else if (key == "kind") {
@@ -79,15 +44,27 @@ ApiCall parse_subscribe(const HttpRequest& request, const RequestContext&) {
   return call;
 }
 
+namespace {
+
+constexpr std::string_view kJson = "application/json";
+constexpr int kMaxWaitMs = 10000;
+
+ApiCall parse_subscribe(const HttpRequest& request, const RequestContext&) {
+  Params params;
+  if (std::string error = collect_params(request, params); !error.empty())
+    return bad_request(std::move(error));
+  return parse_subscribe_params(params);
+}
+
 ApiCall parse_unsubscribe(const HttpRequest& request, const RequestContext&) {
   ApiCall call;
-  std::vector<std::pair<std::string, std::string>> params;
+  Params params;
   if (std::string error = collect_params(request, params); !error.empty())
     return bad_request(std::move(error));
   bool have_id = false;
   for (const auto& [key, value] : params) {
     if (key != "id") return bad_request("unknown parameter: " + key);
-    if (!parse_u64(value, call.id) || call.id == 0)
+    if (!parse_number(value, call.id) || call.id == 0)
       return bad_request("malformed id");
     have_id = true;
   }
@@ -97,24 +74,25 @@ ApiCall parse_unsubscribe(const HttpRequest& request, const RequestContext&) {
 
 ApiCall parse_watch(const HttpRequest& request, const RequestContext&) {
   ApiCall call;
-  std::vector<std::pair<std::string, std::string>> params;
+  Params params;
   if (std::string error = collect_params(request, params); !error.empty())
     return bad_request(std::move(error));
   bool have_id = false;
   for (const auto& [key, value] : params) {
     if (key == "id") {
-      if (!parse_u64(value, call.id) || call.id == 0)
+      if (!parse_number(value, call.id) || call.id == 0)
         return bad_request("malformed id");
       have_id = true;
     } else if (key == "cursor") {
-      if (!parse_u64(value, call.cursor)) return bad_request("malformed cursor");
+      if (!parse_number(value, call.cursor))
+        return bad_request("malformed cursor");
     } else if (key == "max") {
       std::uint64_t max_items = 0;
-      if (!parse_u64(value, max_items)) return bad_request("malformed max");
+      if (!parse_number(value, max_items)) return bad_request("malformed max");
       call.max_items = static_cast<std::size_t>(max_items);
     } else if (key == "wait_ms") {
       std::uint64_t wait = 0;
-      if (!parse_u64(value, wait)) return bad_request("malformed wait_ms");
+      if (!parse_number(value, wait)) return bad_request("malformed wait_ms");
       call.wait_ms = static_cast<int>(
           wait > static_cast<std::uint64_t>(kMaxWaitMs) ? kMaxWaitMs : wait);
     } else {

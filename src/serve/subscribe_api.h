@@ -21,9 +21,16 @@
 // disabled" on all three.
 #pragma once
 
+#include "serve/api.h"
+
 namespace dosm::serve {
 
 class Router;
+
+/// The /subscribe predicate grammar over collected parameters (the list
+/// above); also parses `dosmeter watch`'s predicate flags. Never throws;
+/// errors land in ApiCall::error.
+ApiCall parse_subscribe_params(const Params& params);
 
 /// Registers POST/DELETE /subscribe and GET /watch (none cacheable — they
 /// read or mutate live dispatcher state, not a snapshot).

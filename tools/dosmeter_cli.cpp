@@ -1,60 +1,45 @@
 // dosmeter — command-line runner for the full characterization pipeline.
 //
-// Builds a simulated world (or a paper-default one), runs every analysis,
-// prints a report to stdout, and optionally exports machine-readable CSVs.
+// Usage (every subcommand's --help lists its flags and defaults):
+//   dosmeter [--seed N] [--days N] [--domains N] [--direct N] [--reflection N]
+//            [--out DIR] [--save-events F] [--quiet]
+//     builds a simulated world, runs every analysis, prints a report to
+//     stdout, and optionally writes CSV reports into DIR.
+//   dosmeter detect   packet-level detection (telescope backscatter +
+//                     honeypot consolidation) through the sharded parallel
+//                     layer, or over a pcap through the batched ingest
+//                     front end; byte-identical output for any --threads
+//   dosmeter query    one query (filters + aggregation) over a simulated
+//                     world or a --load-events dump
+//   dosmeter metrics  exercises every instrumented layer and renders the
+//                     metrics registry; --listen keeps serving /metrics
+//   dosmeter serve    the HTTP/JSON query server, with the dataset replayed
+//                     day by day into the /subscribe + /watch feed
+//   dosmeter watch    one subscription replayed through the push dispatcher
+//   dosmeter archive save|load   seals a snapshot into a compressed segment
+//                     archive, or queries one back through the tiered path
 //
-// Usage:
-//   dosmeter [options]
-//     --seed N            world seed                  (default 42)
-//     --days N            study window length in days (default 731)
-//     --domains N         Web domains in the namespace (default 60000)
-//     --direct N          ground-truth direct attacks/day      (default 440)
-//     --reflection N      ground-truth reflection attacks/day  (default 75)
-//     --out DIR           write CSV reports into DIR
-//     --quiet             suppress the text report
-//     --help
-//
-//   dosmeter query [world options] [--load-events F] [filters] [aggregations]
-//     runs ad-hoc queries against the indexed event store (src/query);
-//     see query_usage() below for the filter/aggregation flags.
-//
-//   dosmeter detect [--seed N] [--threads N] [--shards N] [--save-events F]
-//     runs the packet-level detection pipeline (telescope backscatter +
-//     honeypot consolidation) over a synthetic capture through the sharded
-//     parallel execution layer; output is byte-identical for any --threads.
-//
-//   dosmeter metrics [--seed N] [--format table|json|prom] [--out F]
-//     exercises every instrumented pipeline layer over a small workload and
-//     renders the observability registry (src/obs). `detect` and `query`
-//     also accept --metrics-out F to dump their metrics after the run;
-//     instrumentation never perturbs analysis output (event dumps are
-//     byte-identical with metrics on or off). `--listen` passes through to
-//     `dosmeter serve`, whose /metrics endpoint scrapes the same registry
-//     live.
-//
-//   dosmeter serve [world options] [--port N] [--workers N] ...
-//     starts the HTTP/JSON query server (src/serve) over a simulated
-//     world's snapshot, with a live subscription feed (/subscribe, /watch)
-//     replaying the dataset day by day; see serve_usage() below.
-//
-//   dosmeter watch [world options] [--prefix P] [--asn N] [--kind K] ...
-//     registers one subscription predicate, replays the dataset through
-//     the push dispatcher (src/subscribe), and prints the notifications a
-//     live watcher would have received; see watch_usage() below.
-//
-//   dosmeter archive save|load ...
-//     seals a snapshot into the compressed on-disk segment archive
-//     (src/storage) and queries it back through the tiered hot/cold path;
-//     see archive_usage() below.
+// One flag grammar: each flag is one row of a table (Flag) holding a typed,
+// whole-value, range-checked parser. Query filters and watch predicates are
+// not parsed here — they pass as (key, value) pairs to the serve layer's
+// /query and /subscribe grammars, so the CLI and HTTP accept the same values
+// with the same limits and messages. A rejected flag exits 2 with the
+// subcommand's usage; a runtime failure exits 1.
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <future>
 #include <iostream>
+#include <limits>
 #include <optional>
+#include <span>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 
 #include "common/strings.h"
 #include "common/table.h"
@@ -75,7 +60,9 @@
 #include "parallel/workload.h"
 #include "query/engine.h"
 #include "query/snapshot.h"
+#include "serve/api.h"
 #include "serve/server.h"
+#include "serve/subscribe_api.h"
 #include "sim/scenario.h"
 #include "storage/archive.h"
 #include "storage/tiered.h"
@@ -85,73 +72,262 @@ namespace {
 
 using namespace dosm;
 
-struct Options {
-  sim::ScenarioConfig scenario;
-  std::string out_dir;
-  std::string save_events;  // binary event dump to write
-  bool quiet = false;
-};
+// ---------------------------------------------------------------------------
+// The flag table.
+// ---------------------------------------------------------------------------
 
-[[noreturn]] void usage(int code) {
-  std::cout <<
-      "dosmeter — macroscopic DoS-ecosystem characterization\n"
-      "  --seed N        world seed (default 42)\n"
-      "  --days N        study window length in days (default 731)\n"
-      "  --domains N     Web domains in the namespace (default 60000)\n"
-      "  --direct N      ground-truth direct attacks/day (default 440)\n"
-      "  --reflection N  ground-truth reflection attacks/day (default 75)\n"
-      "  --out DIR       write CSV reports into DIR\n"
-      "  --save-events F write the detected events as a binary dump\n"
-      "  --quiet         suppress the text report\n"
-      "subcommands:\n"
-      "  dosmeter query --help    ad-hoc queries over the event store\n"
-      "  dosmeter detect --help   packet-level parallel detection\n"
-      "  dosmeter metrics --help  pipeline observability view\n"
-      "  dosmeter serve --help    HTTP/JSON query server\n"
-      "  dosmeter watch --help    push-based subscription replay\n"
-      "  dosmeter archive --help  on-disk segment archives\n";
+[[noreturn]] void usage(std::string_view help, int code) {
+  std::cout << help;
   std::exit(code);
 }
 
-Options parse_options(int argc, char** argv) {
-  Options options;
-  auto need_value = [&](int& i) -> std::string {
-    if (i + 1 >= argc) {
-      std::cerr << "missing value for " << argv[i] << "\n";
-      usage(2);
-    }
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") usage(0);
-    else if (arg == "--seed") options.scenario.seed = std::stoull(need_value(i));
-    else if (arg == "--days") {
-      const int days = std::stoi(need_value(i));
-      if (days < 2) {
-        std::cerr << "--days must be >= 2\n";
-        usage(2);
-      }
-      options.scenario.window.end = civil_from_days(
-          days_from_civil(options.scenario.window.start) + days - 1);
-    } else if (arg == "--domains") {
-      options.scenario.hosting.num_domains = std::stoi(need_value(i));
-    } else if (arg == "--direct") {
-      options.scenario.attacker.direct_per_day = std::stod(need_value(i));
-    } else if (arg == "--reflection") {
-      options.scenario.attacker.reflection_per_day = std::stod(need_value(i));
-    } else if (arg == "--out") {
-      options.out_dir = need_value(i);
-    } else if (arg == "--save-events") {
-      options.save_events = need_value(i);
-    } else if (arg == "--quiet") {
-      options.quiet = true;
-    } else {
-      std::cerr << "unknown option: " << arg << "\n";
-      usage(2);
-    }
+[[noreturn]] void fail(std::string_view help, std::string_view error) {
+  std::cerr << error << "\n";
+  usage(help, 2);
+}
+
+/// One command-line flag. `apply` receives the flag's value (empty for a
+/// switch) and returns an error message, or empty when it accepted it.
+struct Flag {
+  std::string_view name;
+  bool takes_value = true;
+  std::function<std::string(std::string_view)> apply;
+};
+using Flags = std::vector<Flag>;
+
+/// A numeric flag: the whole value must parse as a T inside [lo, hi].
+template <typename T>
+Flag number(std::string_view name, T lo, T hi, std::function<void(T)> set) {
+  return {name, true, [=](std::string_view text) {
+            T value{};
+            if (serve::parse_number(text, value) && value >= lo &&
+                value <= hi) {
+              set(value);
+              return std::string();
+            }
+            std::ostringstream error;
+            error << name << " must be ";
+            if (hi == std::numeric_limits<T>::max() &&
+                std::numeric_limits<T>::digits >= 31)  // at least int-wide
+              error << ">= " << +lo;
+            else
+              error << "in [" << +lo << ", " << +hi << "]";
+            return error.str();
+          }};
+}
+
+template <typename T>
+Flag number(std::string_view name, T& out, std::type_identity_t<T> lo = 0,
+            std::type_identity_t<T> hi = std::numeric_limits<T>::max()) {
+  return number<T>(name, lo, hi, [&out](T value) { out = value; });
+}
+
+Flag text(std::string_view name, std::string& out) {
+  return {name, true, [&out](std::string_view value) {
+            out = value;
+            return std::string();
+          }};
+}
+
+Flag toggle(std::string_view name, bool& out) {
+  return {name, false, [&out](std::string_view) {
+            out = true;
+            return std::string();
+          }};
+}
+
+/// A flag the serve layer parses: `--min-intensity X` becomes the
+/// parameter ("min_intensity", "X"); a switch passes "1".
+Flag param(std::string_view name, serve::Params& out, bool takes_value = true) {
+  std::string key(name.substr(2));
+  std::replace(key.begin(), key.end(), '-', '_');
+  return {name, takes_value, [key, takes_value, &out](std::string_view value) {
+            out.emplace_back(key, takes_value ? std::string(value) : "1");
+            return std::string();
+          }};
+}
+
+/// Applies argv[first..] to `flags`. --help/-h prints `help` and exits 0; a
+/// missing value, an unknown flag or a rejected value exits 2.
+void parse_flags(int argc, char** argv, int first, const Flags& flags,
+                 std::string_view command, std::string_view help) {
+  for (int i = first; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg == "--help" || arg == "-h") usage(help, 0);
+    const auto flag = std::find_if(
+        flags.begin(), flags.end(),
+        [arg](const Flag& f) { return f.name == arg; });
+    if (flag == flags.end())
+      fail(help, "unknown " + std::string(command) + "option: " +
+                     std::string(arg));
+    if (flag->takes_value && i + 1 >= argc)
+      fail(help, "missing value for " + std::string(arg));
+    const std::string error = flag->apply(flag->takes_value ? argv[++i] : "");
+    if (!error.empty()) fail(help, error);
   }
-  return options;
+}
+
+/// Runs a serve-layer grammar over flag parameters, behind the same
+/// duplicate-key reject as HTTP; a rejected parameter exits 2.
+template <typename Grammar>
+serve::ApiCall parse_params(const serve::Params& params, std::string_view help,
+                            Grammar grammar) {
+  std::string error = serve::find_duplicate(params);
+  serve::ApiCall call =
+      error.empty() ? grammar(params) : serve::bad_request(std::move(error));
+  if (!call.error.empty()) fail(help, call.error);
+  return call;
+}
+
+/// --seed/--days/--domains/--direct/--reflection: the simulated world.
+void add_world_flags(Flags& flags, sim::ScenarioConfig& scenario) {
+  flags.push_back(number("--seed", scenario.seed));
+  flags.push_back(number<int>("--days", 2, 36500, [&scenario](int days) {
+    scenario.window.end = civil_from_days(
+        days_from_civil(scenario.window.start) + days - 1);
+  }));
+  flags.push_back(number("--domains", scenario.hosting.num_domains, 1));
+  flags.push_back(number("--direct", scenario.attacker.direct_per_day));
+  flags.push_back(number("--reflection", scenario.attacker.reflection_per_day));
+}
+
+/// The filter and aggregation flags of `query` and `archive load`, parsed
+/// by the /query grammar (serve/api.h).
+void add_query_flags(Flags& flags, serve::Params& params) {
+  for (const std::string_view name :
+       {"--from", "--to", "--source", "--prefix", "--asn", "--country",
+        "--port", "--min-intensity", "--agg", "--k"})
+    flags.push_back(param(name, params));
+  flags.push_back(param("--explain", params, /*takes_value=*/false));
+}
+
+// ---------------------------------------------------------------------------
+// Shared pipeline steps.
+// ---------------------------------------------------------------------------
+
+/// A dataset to load: a simulated world or a binary event dump, plus the
+/// snapshot build knobs of the subcommands that index it.
+struct Dataset {
+  sim::ScenarioConfig scenario;
+  std::string load_events;  // binary event dump instead of a simulated world
+  int threads = 1;
+  int segment_days = 0;
+};
+
+/// The world flags plus --load-events.
+void add_dataset_flags(Flags& flags, Dataset& data) {
+  add_world_flags(flags, data.scenario);
+  flags.push_back(text("--load-events", data.load_events));
+}
+
+/// --threads/--segment-days: byte-identical output for any value.
+void add_build_flags(Flags& flags, Dataset& data) {
+  flags.push_back(number("--threads", data.threads, 1));
+  flags.push_back(number("--segment-days", data.segment_days));
+}
+
+/// A loaded dataset. Only a simulated world carries the metadata that
+/// resolves ASN and country; on a dump those columns stay unknown.
+struct Loaded {
+  std::unique_ptr<sim::World> world;  // null for an event dump
+  std::vector<core::AttackEvent> dump;
+
+  std::span<const core::AttackEvent> events() const {
+    return world ? world->store.events() : dump;
+  }
+};
+
+Loaded load_dataset(const Dataset& data) {
+  Loaded loaded;
+  if (!data.load_events.empty()) {
+    loaded.dump = core::load_events(data.load_events);
+    std::cerr << "[dosmeter] loaded " << loaded.dump.size() << " events from "
+              << data.load_events << "\n";
+  } else {
+    std::cerr << "[dosmeter] building " << data.scenario.window.num_days()
+              << "-day world (seed " << data.scenario.seed << ")...\n";
+    loaded.world = sim::build_world(data.scenario);
+  }
+  return loaded;
+}
+
+/// A build context without metadata: ASN and country resolve to unknown.
+query::BuildContext bare_context() {
+  static const meta::PrefixToAsMap pfx2as;
+  static const meta::GeoDatabase geo;
+  return {pfx2as, geo};
+}
+
+std::shared_ptr<const query::Snapshot> build_snapshot(const Dataset& data,
+                                                      const Loaded& loaded) {
+  query::BuildContext ctx =
+      loaded.world ? query::BuildContext{loaded.world->population.pfx2as(),
+                                         loaded.world->population.geo()}
+                   : bare_context();
+  ctx.threads = data.threads;
+  ctx.segment_days = data.segment_days;
+  return query::Snapshot::build(data.scenario.window, loaded.events(), ctx,
+                                /*version=*/1);
+}
+
+/// Feeds `events` in canonical order to `ingest`, calling `close_day`
+/// whenever the study day changes; the caller closes the last day.
+template <typename Ingest, typename CloseDay>
+void replay_by_day(std::span<const core::AttackEvent> events,
+                   const StudyWindow& window, Ingest ingest,
+                   CloseDay close_day) {
+  std::vector<core::AttackEvent> sorted(events.begin(), events.end());
+  std::sort(sorted.begin(), sorted.end(), core::canonical_less);
+  int open_day = -1;
+  for (const auto& event : sorted) {
+    const auto t = static_cast<UnixSeconds>(event.start);
+    const int day = window.contains(t) ? window.day_of(t) : -1;
+    if (day != open_day && open_day != -1) close_day();
+    open_day = day;
+    ingest(event);
+  }
+}
+
+/// The packet-level pipeline's output: parallel telescope detection plus,
+/// given a fleet, parallel honeypot consolidation, fused in canonical order.
+struct Detection {
+  parallel::TelescopeDetectStats stats;
+  std::size_t telescope_events = 0;
+  std::size_t honeypot_events = 0;
+  std::vector<core::AttackEvent> events;
+};
+
+Detection detect_and_fuse(std::span<const net::PacketRecord> packets,
+                          amppot::HoneypotFleet* fleet,
+                          const parallel::ParallelConfig& config) {
+  parallel::ParallelBackscatterDetector detector(config);
+  const auto telescope_events = detector.detect(packets);
+  const std::vector<amppot::AmpPotEvent> honeypot_events =
+      fleet ? parallel::parallel_harvest(*fleet, {}, config)
+            : std::vector<amppot::AmpPotEvent>{};
+  Detection out{detector.stats(), telescope_events.size(),
+                honeypot_events.size(), {}};
+  out.events.reserve(telescope_events.size() + honeypot_events.size());
+  for (const auto& event : telescope_events)
+    out.events.push_back(core::from_telescope(event));
+  for (const auto& event : honeypot_events)
+    out.events.push_back(core::from_amppot(event));
+  std::sort(out.events.begin(), out.events.end(), core::canonical_less);
+  return out;
+}
+
+void write_events(const std::string& path,
+                  std::span<const core::AttackEvent> events) {
+  if (path.empty()) return;
+  core::save_events(path, events);
+  std::cerr << "[dosmeter] wrote " << events.size() << " events to " << path
+            << "\n";
+}
+
+void write_metrics(const std::string& path) {
+  if (path.empty()) return;
+  obs::write_metrics_file(path, obs::MetricsRegistry::global());
+  std::cerr << "[dosmeter] wrote metrics to " << path << "\n";
 }
 
 void write_file(const std::filesystem::path& path, const std::string& content) {
@@ -164,169 +340,110 @@ void write_file(const std::filesystem::path& path, const std::string& content) {
 // `dosmeter detect` — packet-level detection via the parallel pipeline.
 // ---------------------------------------------------------------------------
 
-struct DetectOptions {
+constexpr std::string_view kDetectHelp =
+    "dosmeter detect — packet-level detection (sharded parallel pipeline)\n"
+    "  --seed N        workload seed (default 42)\n"
+    "  --direct N      ground-truth spoofed attacks (default 400)\n"
+    "  --reflection N  ground-truth reflection attacks (default 120)\n"
+    "  --hours H       capture window length in hours (default 4)\n"
+    "  --pcap F        replay a pcap capture through the batched ingest\n"
+    "                  front end (src/ingest) instead of the synthetic\n"
+    "                  workload; telescope detection only\n"
+    "  --batch-frames N   frames per ingest batch (default 512)\n"
+    "  --ring-capacity N  ingest ring capacity in batches (default 8)\n"
+    "  --ring-policy P    block|drop on a full ring (default block;\n"
+    "                     drop trades determinism for capture latency)\n"
+    "  --save-pcap F   write the synthetic telescope capture to F\n"
+    "                  (LINKTYPE_RAW) and exit\n"
+    "  --threads N     worker threads (default 1)\n"
+    "  --shards N      victim-hash telescope shards (default: one per\n"
+    "                  thread)\n"
+    "  --save-events F write the fused events as a binary dump\n"
+    "  --metrics-out F write pipeline metrics after the run\n"
+    "                  (.prom -> Prometheus text, else JSON)\n"
+    "  --quiet         suppress the text summary\n"
+    "Output is byte-identical for every --threads/--shards setting, every\n"
+    "--batch-frames/--ring-capacity setting (with the block policy), and\n"
+    "with or without --metrics-out.\n";
+
+int detect_main(int argc, char** argv) {
   parallel::WorkloadConfig workload;
   parallel::ParallelConfig parallel;
   ingest::IngestOptions ingest;
-  std::string pcap_in;
-  std::string save_pcap;
-  std::string save_events;
-  std::string metrics_out;
+  std::string pcap_in, save_pcap, events_out, metrics_out;
   bool quiet = false;
-};
-
-[[noreturn]] void detect_usage(int code) {
-  std::cout <<
-      "dosmeter detect — packet-level detection (sharded parallel pipeline)\n"
-      "  --seed N        workload seed (default 42)\n"
-      "  --direct N      ground-truth spoofed attacks (default 400)\n"
-      "  --reflection N  ground-truth reflection attacks (default 120)\n"
-      "  --hours H       capture window length in hours (default 4)\n"
-      "  --pcap F        replay a pcap capture through the batched ingest\n"
-      "                  front end (src/ingest) instead of the synthetic\n"
-      "                  workload; telescope detection only\n"
-      "  --batch-frames N   frames per ingest batch (default 512)\n"
-      "  --ring-capacity N  ingest ring capacity in batches (default 8)\n"
-      "  --ring-policy P    block|drop on a full ring (default block;\n"
-      "                     drop trades determinism for capture latency)\n"
-      "  --save-pcap F   write the synthetic telescope capture to F\n"
-      "                  (LINKTYPE_RAW) and exit\n"
-      "  --threads N     worker threads (default 1)\n"
-      "  --shards N      victim-hash telescope shards (default: one per\n"
-      "                  thread)\n"
-      "  --save-events F write the fused events as a binary dump\n"
-      "  --metrics-out F write pipeline metrics after the run\n"
-      "                  (.prom -> Prometheus text, else JSON)\n"
-      "  --quiet         suppress the text summary\n"
-      "Output is byte-identical for every --threads/--shards setting, every\n"
-      "--batch-frames/--ring-capacity setting (with the block policy), and\n"
-      "with or without --metrics-out.\n";
-  std::exit(code);
-}
-
-DetectOptions parse_detect_options(int argc, char** argv) {
-  DetectOptions options;
-  auto need_value = [&](int& i) -> std::string {
-    if (i + 1 >= argc) {
-      std::cerr << "missing value for " << argv[i] << "\n";
-      detect_usage(2);
-    }
-    return argv[++i];
-  };
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") detect_usage(0);
-    else if (arg == "--seed") options.workload.seed = std::stoull(need_value(i));
-    else if (arg == "--direct") {
-      options.workload.direct_attacks = std::stoi(need_value(i));
-    } else if (arg == "--reflection") {
-      options.workload.reflection_attacks = std::stoi(need_value(i));
-    } else if (arg == "--hours") {
-      options.workload.window_s = std::stod(need_value(i)) * 3600.0;
-    } else if (arg == "--threads") {
-      options.parallel.threads = std::stoi(need_value(i));
-    } else if (arg == "--shards") {
-      options.parallel.shards = std::stoi(need_value(i));
-    } else if (arg == "--pcap") {
-      options.pcap_in = need_value(i);
-    } else if (arg == "--save-pcap") {
-      options.save_pcap = need_value(i);
-    } else if (arg == "--batch-frames") {
-      options.ingest.batch_frames =
-          static_cast<std::size_t>(std::stoul(need_value(i)));
-    } else if (arg == "--ring-capacity") {
-      options.ingest.ring_capacity =
-          static_cast<std::size_t>(std::stoul(need_value(i)));
-    } else if (arg == "--ring-policy") {
-      const std::string policy = need_value(i);
-      if (policy == "block") {
-        options.ingest.policy = ingest::Backpressure::kBlock;
-      } else if (policy == "drop") {
-        options.ingest.policy = ingest::Backpressure::kDrop;
-      } else {
-        std::cerr << "--ring-policy must be block or drop\n";
-        detect_usage(2);
-      }
-    } else if (arg == "--save-events") {
-      options.save_events = need_value(i);
-    } else if (arg == "--metrics-out") {
-      options.metrics_out = need_value(i);
-    } else if (arg == "--quiet") {
-      options.quiet = true;
-    } else {
-      std::cerr << "unknown detect option: " << arg << "\n";
-      detect_usage(2);
-    }
-  }
-  if (options.parallel.threads < 1 || options.parallel.shards < 0) {
-    std::cerr << "--threads must be >= 1 and --shards >= 0\n";
-    detect_usage(2);
-  }
-  if (options.ingest.batch_frames < 1 || options.ingest.ring_capacity < 1) {
-    std::cerr << "--batch-frames and --ring-capacity must be >= 1\n";
-    detect_usage(2);
-  }
-  return options;
-}
-
-int detect_main(int argc, char** argv) {
-  const DetectOptions options = parse_detect_options(argc, argv);
+  parse_flags(
+      argc, argv, 2,
+      {number("--seed", workload.seed),
+       number("--direct", workload.direct_attacks),
+       number("--reflection", workload.reflection_attacks),
+       number<double>("--hours", 0.0, std::numeric_limits<double>::max(),
+                      [&workload](double hours) {
+                        workload.window_s = hours * 3600.0;
+                      }),
+       number("--threads", parallel.threads, 1),
+       number("--shards", parallel.shards),
+       text("--pcap", pcap_in),
+       text("--save-pcap", save_pcap),
+       number("--batch-frames", ingest.batch_frames, 1),
+       number("--ring-capacity", ingest.ring_capacity, 1),
+       {"--ring-policy", true,
+        [&ingest](std::string_view value) -> std::string {
+          if (value == "block")
+            ingest.policy = ingest::Backpressure::kBlock;
+          else if (value == "drop")
+            ingest.policy = ingest::Backpressure::kDrop;
+          else
+            return "--ring-policy must be block or drop";
+          return {};
+        }},
+       text("--save-events", events_out),
+       text("--metrics-out", metrics_out),
+       toggle("--quiet", quiet)},
+      "detect ", kDetectHelp);
 
   // --pcap: the capture comes from a file through the batched ingest front
   // end instead of the synthetic workload generator (telescope path only —
   // there are no honeypot logs in a pcap).
   std::vector<net::PacketRecord> capture_packets;
   std::unique_ptr<amppot::HoneypotFleet> fleet;
-  if (!options.pcap_in.empty()) {
-    std::ifstream pcap(options.pcap_in, std::ios::binary);
+  if (!pcap_in.empty()) {
+    std::ifstream pcap(pcap_in, std::ios::binary);
     if (!pcap) {
-      std::cerr << "cannot open " << options.pcap_in << "\n";
+      std::cerr << "cannot open " << pcap_in << "\n";
       return 2;
     }
-    capture_packets = ingest::read_packets(pcap, options.ingest);
+    capture_packets = ingest::read_packets(pcap, ingest);
     std::cerr << "[dosmeter] capture: " << capture_packets.size()
-              << " packets from " << options.pcap_in << " (batched ingest, "
-              << options.parallel.threads << " threads)\n";
+              << " packets from " << pcap_in << " (batched ingest, "
+              << parallel.threads << " threads)\n";
   } else {
-    auto workload = parallel::make_workload(options.workload);
-    capture_packets = std::move(workload.packets);
-    fleet = std::move(workload.fleet);
+    auto generated = parallel::make_workload(workload);
+    capture_packets = std::move(generated.packets);
+    fleet = std::move(generated.fleet);
     std::cerr << "[dosmeter] capture: " << capture_packets.size()
               << " telescope packets, " << fleet->total_requests()
-              << " honeypot requests (" << options.parallel.threads
-              << " threads, " << options.parallel.effective_shards()
-              << " shards)\n";
+              << " honeypot requests (" << parallel.threads << " threads, "
+              << parallel.effective_shards() << " shards)\n";
   }
 
-  if (!options.save_pcap.empty()) {
-    std::ofstream out(options.save_pcap, std::ios::binary);
+  if (!save_pcap.empty()) {
+    std::ofstream out(save_pcap, std::ios::binary);
     if (!out) {
-      std::cerr << "cannot write " << options.save_pcap << "\n";
+      std::cerr << "cannot write " << save_pcap << "\n";
       return 2;
     }
     net::PcapWriter writer(out);
     for (const auto& rec : capture_packets) writer.write_packet(rec);
     std::cerr << "[dosmeter] wrote " << writer.frames_written()
-              << " frames to " << options.save_pcap << "\n";
+              << " frames to " << save_pcap << "\n";
     return 0;
   }
 
-  parallel::ParallelBackscatterDetector detector(options.parallel);
-  const auto telescope_events = detector.detect(capture_packets);
-  const std::vector<amppot::AmpPotEvent> honeypot_events =
-      fleet ? parallel::parallel_harvest(*fleet, {}, options.parallel)
-            : std::vector<amppot::AmpPotEvent>{};
-
-  std::vector<core::AttackEvent> events;
-  events.reserve(telescope_events.size() + honeypot_events.size());
-  for (const auto& event : telescope_events)
-    events.push_back(core::from_telescope(event));
-  for (const auto& event : honeypot_events)
-    events.push_back(core::from_amppot(event));
-  std::sort(events.begin(), events.end(), core::canonical_less);
-
-  if (!options.quiet) {
-    const auto& stats = detector.stats();
+  const Detection detection =
+      detect_and_fuse(capture_packets, fleet.get(), parallel);
+  if (!quiet) {
+    const auto& stats = detection.stats;
     print_section(std::cout, "Packet-level detection");
     TextTable table({"stage", "count"});
     table.add_row({"telescope packets", std::to_string(stats.packets_seen)});
@@ -334,20 +451,14 @@ int detect_main(int argc, char** argv) {
                    std::to_string(stats.backscatter_packets)});
     table.add_row({"flows under thresholds",
                    std::to_string(stats.flows_filtered)});
-    table.add_row({"telescope events", std::to_string(telescope_events.size())});
-    table.add_row({"honeypot events", std::to_string(honeypot_events.size())});
+    table.add_row({"telescope events",
+                   std::to_string(detection.telescope_events)});
+    table.add_row({"honeypot events",
+                   std::to_string(detection.honeypot_events)});
     std::cout << table;
   }
-
-  if (!options.save_events.empty()) {
-    core::save_events(options.save_events, events);
-    std::cerr << "[dosmeter] wrote " << events.size() << " events to "
-              << options.save_events << "\n";
-  }
-  if (!options.metrics_out.empty()) {
-    obs::write_metrics_file(options.metrics_out, obs::MetricsRegistry::global());
-    std::cerr << "[dosmeter] wrote metrics to " << options.metrics_out << "\n";
-  }
+  write_events(events_out, detection.events);
+  write_metrics(metrics_out);
   return 0;
 }
 
@@ -355,91 +466,75 @@ int detect_main(int argc, char** argv) {
 // `dosmeter query` — ad-hoc queries against the indexed event store.
 // ---------------------------------------------------------------------------
 
-struct QueryOptions {
-  sim::ScenarioConfig scenario;
-  std::string load_events;  // binary dump instead of a simulated world
-  query::Query query;
-  std::optional<CivilDate> from;
-  std::optional<CivilDate> to;
-  std::string agg = "summary";
-  std::size_t k = 10;
-  int threads = 1;
-  int segment_days = 0;
-  bool explain = false;
-  std::string metrics_out;
-};
+constexpr std::string_view kQueryHelp =
+    "dosmeter query — ad-hoc queries over the fused event dataset\n"
+    "dataset (pick one):\n"
+    "  --seed/--days/--domains/--direct/--reflection   simulate a world\n"
+    "  --load-events F   query a binary event dump (dosmeter --save-events);\n"
+    "                    ASN/country columns resolve only with a simulated\n"
+    "                    world, so those filters match nothing on a dump\n"
+    "filters (ANDed):\n"
+    "  --from YYYY-MM-DD     events starting on/after this day\n"
+    "  --to YYYY-MM-DD       events starting on/before this day\n"
+    "  --source S            telescope | honeypot | combined\n"
+    "  --prefix A.B.C.D/L    target inside the CIDR prefix\n"
+    "  --asn N               origin AS of the target\n"
+    "  --country CC          geolocated country of the target\n"
+    "  --port N              dominant victim port\n"
+    "  --min-intensity X     raw intensity >= X\n"
+    "aggregation:\n"
+    "  --agg A    summary | daily | top-targets | top-asns | top-countries\n"
+    "             | events   (default: summary)\n"
+    "  --k N      rows for top-k / events listings (default 10)\n"
+    "  --threads N  worker threads for the snapshot build (default 1;\n"
+    "               identical output for any value)\n"
+    "  --segment-days N  days per sealed snapshot segment (default 0 =\n"
+    "               one segment; identical output for any value)\n"
+    "  --explain  print the planner's chosen access path\n"
+    "  --metrics-out F  write pipeline metrics after the run\n"
+    "                   (.prom -> Prometheus text, else JSON)\n";
 
-[[noreturn]] void query_usage(int code) {
-  std::cout <<
-      "dosmeter query — ad-hoc queries over the fused event dataset\n"
-      "dataset (pick one):\n"
-      "  --seed/--days/--domains/--direct/--reflection   simulate a world\n"
-      "  --load-events F   query a binary event dump (dosmeter --save-events);\n"
-      "                    ASN/country columns resolve only with a simulated\n"
-      "                    world, so those filters match nothing on a dump\n"
-      "filters (ANDed):\n"
-      "  --from YYYY-MM-DD     events starting on/after this day\n"
-      "  --to YYYY-MM-DD       events starting on/before this day\n"
-      "  --source S            telescope | honeypot | combined\n"
-      "  --prefix A.B.C.D/L    target inside the CIDR prefix\n"
-      "  --asn N               origin AS of the target\n"
-      "  --country CC          geolocated country of the target\n"
-      "  --port N              dominant victim port\n"
-      "  --min-intensity X     raw intensity >= X\n"
-      "aggregation:\n"
-      "  --agg A    summary | daily | top-targets | top-asns | top-countries\n"
-      "             | events   (default: summary)\n"
-      "  --k N      rows for top-k / events listings (default 10)\n"
-      "  --threads N  worker threads for the snapshot build (default 1;\n"
-      "               identical output for any value)\n"
-      "  --segment-days N  days per sealed snapshot segment (default 0 =\n"
-      "               one segment; identical output for any value)\n"
-      "  --explain  print the planner's chosen access path\n"
-      "  --metrics-out F  write pipeline metrics after the run\n"
-      "                   (.prom -> Prometheus text, else JSON)\n";
-  std::exit(code);
-}
-
-/// Runs one aggregation and prints its table — shared by `dosmeter query`
-/// (in-memory snapshots) and `dosmeter archive load` (tiered snapshots), so
-/// both paths render byte-identical output for the same dataset. Returns
-/// false on an unknown aggregation name.
-bool print_aggregation(const query::Snapshot& snapshot,
-                       const StudyWindow& window, const query::Query& q,
-                       const std::string& agg, std::size_t k, bool explain) {
+/// Runs one parsed /query call and prints its table — shared by `dosmeter
+/// query` (in-memory snapshots) and `dosmeter archive load` (tiered
+/// snapshots), so both render byte-identical output for the same dataset.
+void print_aggregation(const query::Snapshot& snapshot,
+                       const serve::ApiCall& call) {
+  const query::Query& q = call.query;
+  const std::size_t k = call.k;
   std::cout << "query: " << query::to_string(q) << "\n";
-  if (explain)
+  if (call.explain)
     std::cout << "plan:  " << query::to_string(snapshot.plan(q)) << "\n";
 
-  if (agg == "summary") {
+  if (call.agg == "summary") {
     std::cout << "events:         " << snapshot.count(q) << "\n";
     std::cout << "unique targets: " << snapshot.unique_targets(q) << "\n";
-  } else if (agg == "daily") {
+  } else if (call.agg == "daily") {
     const auto daily = snapshot.daily_attacks(q);
     TextTable table({"date", "attacks"});
     for (int d = 0; d < daily.num_days(); ++d) {
       if (daily.at(d) == 0.0) continue;
-      table.add_row({to_string(window.date_of_day(d)), fixed(daily.at(d), 0)});
+      table.add_row({to_string(snapshot.window().date_of_day(d)),
+                     fixed(daily.at(d), 0)});
     }
     std::cout << table;
-  } else if (agg == "top-targets") {
+  } else if (call.agg == "top-targets") {
     TextTable table({"target", "events"});
     for (const auto& row : snapshot.top_targets(q, k))
       table.add_row({row.target.to_string(), std::to_string(row.events)});
     std::cout << table;
-  } else if (agg == "top-asns") {
+  } else if (call.agg == "top-asns") {
     TextTable table({"asn", "targets", "events"});
     for (const auto& row : snapshot.top_asns(q, k))
       table.add_row({"AS" + std::to_string(row.asn),
                      std::to_string(row.targets), std::to_string(row.events)});
     std::cout << table;
-  } else if (agg == "top-countries") {
+  } else if (call.agg == "top-countries") {
     TextTable table({"country", "targets", "share"});
     for (const auto& row : snapshot.top_countries(q, k))
       table.add_row({row.country.to_string(), std::to_string(row.targets),
                      percent(row.share, 2)});
     std::cout << table;
-  } else if (agg == "events") {
+  } else {  // events
     const auto rows = snapshot.match_rows(q);
     TextTable table({"start", "target", "source", "intensity", "port"});
     for (std::size_t i = 0; i < rows.size() && i < k; ++i) {
@@ -455,147 +550,30 @@ bool print_aggregation(const query::Snapshot& snapshot,
     std::cout << table;
     if (rows.size() > k)
       std::cout << "(" << rows.size() - k << " more rows; raise --k)\n";
-  } else {
-    return false;
   }
-  return true;
-}
-
-QueryOptions parse_query_options(int argc, char** argv) {
-  QueryOptions options;
-  auto need_value = [&](int& i) -> std::string {
-    if (i + 1 >= argc) {
-      std::cerr << "missing value for " << argv[i] << "\n";
-      query_usage(2);
-    }
-    return argv[++i];
-  };
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") query_usage(0);
-    else if (arg == "--seed") options.scenario.seed = std::stoull(need_value(i));
-    else if (arg == "--days") {
-      const int days = std::stoi(need_value(i));
-      if (days < 2) {
-        std::cerr << "--days must be >= 2\n";
-        query_usage(2);
-      }
-      options.scenario.window.end = civil_from_days(
-          days_from_civil(options.scenario.window.start) + days - 1);
-    } else if (arg == "--domains") {
-      options.scenario.hosting.num_domains = std::stoi(need_value(i));
-    } else if (arg == "--direct") {
-      options.scenario.attacker.direct_per_day = std::stod(need_value(i));
-    } else if (arg == "--reflection") {
-      options.scenario.attacker.reflection_per_day = std::stod(need_value(i));
-    } else if (arg == "--load-events") {
-      options.load_events = need_value(i);
-    } else if (arg == "--from") {
-      options.from = parse_civil(need_value(i));
-    } else if (arg == "--to") {
-      options.to = parse_civil(need_value(i));
-    } else if (arg == "--source") {
-      const std::string value = need_value(i);
-      if (value == "telescope")
-        options.query.from_source(core::SourceFilter::kTelescope);
-      else if (value == "honeypot")
-        options.query.from_source(core::SourceFilter::kHoneypot);
-      else if (value == "combined")
-        options.query.from_source(core::SourceFilter::kCombined);
-      else {
-        std::cerr << "--source must be telescope|honeypot|combined\n";
-        query_usage(2);
-      }
-    } else if (arg == "--prefix") {
-      options.query.in_prefix(net::Prefix::parse(need_value(i)));
-    } else if (arg == "--asn") {
-      options.query.in_asn(static_cast<meta::Asn>(std::stoul(need_value(i))));
-    } else if (arg == "--country") {
-      options.query.in_country(meta::CountryCode(need_value(i)));
-    } else if (arg == "--port") {
-      options.query.on_port(static_cast<std::uint16_t>(std::stoi(need_value(i))));
-    } else if (arg == "--min-intensity") {
-      options.query.at_least(std::stod(need_value(i)));
-    } else if (arg == "--agg") {
-      options.agg = need_value(i);
-    } else if (arg == "--k") {
-      options.k = static_cast<std::size_t>(std::stoul(need_value(i)));
-    } else if (arg == "--threads") {
-      options.threads = std::stoi(need_value(i));
-      if (options.threads < 1) {
-        std::cerr << "--threads must be >= 1\n";
-        query_usage(2);
-      }
-    } else if (arg == "--segment-days") {
-      options.segment_days = std::stoi(need_value(i));
-      if (options.segment_days < 0) {
-        std::cerr << "--segment-days must be >= 0\n";
-        query_usage(2);
-      }
-    } else if (arg == "--explain") {
-      options.explain = true;
-    } else if (arg == "--metrics-out") {
-      options.metrics_out = need_value(i);
-    } else {
-      std::cerr << "unknown query option: " << arg << "\n";
-      query_usage(2);
-    }
-  }
-  return options;
 }
 
 int query_main(int argc, char** argv) {
-  QueryOptions options = parse_query_options(argc, argv);
+  Dataset data;
+  serve::Params params;
+  std::string metrics_out;
+  Flags flags{text("--metrics-out", metrics_out)};
+  add_dataset_flags(flags, data);
+  add_build_flags(flags, data);
+  add_query_flags(flags, params);
+  parse_flags(argc, argv, 2, flags, "query ", kQueryHelp);
+  const serve::ApiCall call =
+      parse_params(params, kQueryHelp, [&data](const serve::Params& p) {
+        return serve::parse_query_params(p, data.scenario.window);
+      });
 
-  // Materialize the snapshot: either over a simulated world (full metadata)
-  // or over a binary event dump (empty metadata).
-  std::shared_ptr<const query::Snapshot> snapshot;
-  StudyWindow window = options.scenario.window;
-  const meta::PrefixToAsMap empty_pfx2as;
-  const meta::GeoDatabase empty_geo;
-  std::unique_ptr<sim::World> world;
-  if (!options.load_events.empty()) {
-    const auto events = core::load_events(options.load_events);
-    std::cerr << "[dosmeter] loaded " << events.size() << " events from "
-              << options.load_events << "\n";
-    snapshot = query::Snapshot::build(
-        window, events,
-        query::BuildContext{empty_pfx2as, empty_geo, options.threads,
-                            options.segment_days});
-  } else {
-    std::cerr << "[dosmeter] building " << window.num_days()
-              << "-day world (seed " << options.scenario.seed << ")...\n";
-    world = sim::build_world(options.scenario);
-    snapshot = query::Snapshot::from_store(
-        world->store,
-        query::BuildContext{world->population.pfx2as(),
-                            world->population.geo(), options.threads,
-                            options.segment_days});
-  }
+  const Loaded loaded = load_dataset(data);
+  const auto snapshot = build_snapshot(data, loaded);
   std::cerr << "[dosmeter] snapshot ready: " << snapshot->size()
             << " events indexed in " << snapshot->num_segments()
             << " segment(s)\n";
-
-  // Day filters resolve against the snapshot's window.
-  if (options.from || options.to) {
-    const double begin =
-        options.from ? static_cast<double>(unix_from_civil(*options.from))
-                     : static_cast<double>(window.start_time());
-    const double end =
-        options.to ? static_cast<double>(unix_from_civil(*options.to) +
-                                         kSecondsPerDay)
-                   : static_cast<double>(window.end_time());
-    options.query.between(begin, end);
-  }
-  if (!print_aggregation(*snapshot, window, options.query, options.agg,
-                         options.k, options.explain)) {
-    std::cerr << "unknown aggregation: " << options.agg << "\n";
-    query_usage(2);
-  }
-  if (!options.metrics_out.empty()) {
-    obs::write_metrics_file(options.metrics_out, obs::MetricsRegistry::global());
-    std::cerr << "[dosmeter] wrote metrics to " << options.metrics_out << "\n";
-  }
+  print_aggregation(*snapshot, call);
+  write_metrics(metrics_out);
   return 0;
 }
 
@@ -603,81 +581,60 @@ int query_main(int argc, char** argv) {
 // `dosmeter metrics` — exercise every instrumented layer, show the registry.
 // ---------------------------------------------------------------------------
 
-struct MetricsOptions {
-  std::uint64_t seed = 42;
-  std::string format = "table";  // table | json | prom
-  std::string out;
-  std::string listen;  // [ADDR:]PORT — keep serving /metrics live
-};
-
-[[noreturn]] void metrics_usage(int code) {
-  std::cout <<
-      "dosmeter metrics — pipeline observability view\n"
-      "Runs a small end-to-end workload through every instrumented layer\n"
-      "(telescope flow table, honeypot fleet, parallel workers, streaming\n"
-      "fusion, query engine) and renders the metrics registry.\n"
-      "  --seed N       workload seed (default 42)\n"
-      "  --format F     table | json | prom (default table)\n"
-      "  --out F        also write the registry to F (.prom -> Prometheus)\n"
-      "  --listen [A:]P keep running and serve the registry live at\n"
-      "                 http://A:P/metrics — a passthrough to the query\n"
-      "                 server (`dosmeter serve`), which scrapes the same\n"
-      "                 process-wide registry and adds its own serve.*\n"
-      "                 series (requests, cache, admission drops, latency)\n";
-  std::exit(code);
-}
-
-MetricsOptions parse_metrics_options(int argc, char** argv) {
-  MetricsOptions options;
-  auto need_value = [&](int& i) -> std::string {
-    if (i + 1 >= argc) {
-      std::cerr << "missing value for " << argv[i] << "\n";
-      metrics_usage(2);
-    }
-    return argv[++i];
-  };
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") metrics_usage(0);
-    else if (arg == "--seed") options.seed = std::stoull(need_value(i));
-    else if (arg == "--format") options.format = need_value(i);
-    else if (arg == "--out") options.out = need_value(i);
-    else if (arg == "--listen") options.listen = need_value(i);
-    else {
-      std::cerr << "unknown metrics option: " << arg << "\n";
-      metrics_usage(2);
-    }
-  }
-  if (options.format != "table" && options.format != "json" &&
-      options.format != "prom") {
-    std::cerr << "--format must be table|json|prom\n";
-    metrics_usage(2);
-  }
-  return options;
-}
+constexpr std::string_view kMetricsHelp =
+    "dosmeter metrics — pipeline observability view\n"
+    "Runs a small end-to-end workload through every instrumented layer\n"
+    "(telescope flow table, honeypot fleet, parallel workers, streaming\n"
+    "fusion, query engine) and renders the metrics registry.\n"
+    "  --seed N       workload seed (default 42)\n"
+    "  --format F     table | json | prom (default table)\n"
+    "  --out F        also write the registry to F (.prom -> Prometheus)\n"
+    "  --listen [A:]P keep running and serve the registry live at\n"
+    "                 http://A:P/metrics — a passthrough to the query\n"
+    "                 server (`dosmeter serve`), which scrapes the same\n"
+    "                 process-wide registry and adds its own serve.*\n"
+    "                 series (requests, cache, admission drops, latency)\n";
 
 int metrics_main(int argc, char** argv) {
-  const MetricsOptions options = parse_metrics_options(argc, argv);
+  std::uint64_t seed = 42;
+  std::string format = "table";
+  std::string out;
+  std::optional<serve::ServerConfig> listen;  // keep serving /metrics
+  parse_flags(
+      argc, argv, 2,
+      {number("--seed", seed),
+       {"--format", true,
+        [&format](std::string_view value) -> std::string {
+          if (value != "table" && value != "json" && value != "prom")
+            return "--format must be table|json|prom";
+          format = value;
+          return {};
+        }},
+       text("--out", out),
+       {"--listen", true,
+        [&listen](std::string_view value) -> std::string {
+          serve::ServerConfig server;
+          const std::size_t colon = value.rfind(':');
+          if (colon != std::string_view::npos)
+            server.bind_address = value.substr(0, colon);
+          const std::string_view port =
+              colon == std::string_view::npos ? value : value.substr(colon + 1);
+          if (!serve::parse_number(port, server.port))
+            return "--listen must be [A:]P with P in [0, 65535]";
+          listen = server;
+          return {};
+        }}},
+      "metrics ", kMetricsHelp);
 
   // 1. Packet-level detection (telescope + amppot + parallel metrics).
   parallel::WorkloadConfig workload_config;
-  workload_config.seed = options.seed;
+  workload_config.seed = seed;
   workload_config.direct_attacks = 40;
   workload_config.reflection_attacks = 12;
   workload_config.window_s = 3600.0;
   auto workload = parallel::make_workload(workload_config);
-  const parallel::ParallelConfig pc{2, 0};
-  parallel::ParallelBackscatterDetector detector(pc);
-  const auto telescope_events = detector.detect(workload.packets);
-  const auto honeypot_events = parallel::parallel_harvest(*workload.fleet, {}, pc);
-
-  std::vector<core::AttackEvent> events;
-  events.reserve(telescope_events.size() + honeypot_events.size());
-  for (const auto& event : telescope_events)
-    events.push_back(core::from_telescope(event));
-  for (const auto& event : honeypot_events)
-    events.push_back(core::from_amppot(event));
-  std::sort(events.begin(), events.end(), core::canonical_less);
+  std::vector<core::AttackEvent> events =
+      detect_and_fuse(workload.packets, workload.fleet.get(), {2, 0}).events;
 
   // 2. Streaming fusion + serving layer (fusion, serialize, query metrics).
   // Workload timestamps are capture-relative seconds; shift them into the
@@ -692,11 +649,8 @@ int metrics_main(int argc, char** argv) {
   for (const auto& event : events) fusion.ingest(event);
   fusion.finish();
 
-  const meta::PrefixToAsMap empty_pfx2as;
-  const meta::GeoDatabase empty_geo;
   query::QueryEngine engine;
-  engine.publish(query::Snapshot::build(
-      window, events, query::BuildContext{empty_pfx2as, empty_geo}, 1));
+  engine.publish(query::Snapshot::build(window, events, bare_context(), 1));
   const auto snapshot = engine.snapshot();
   snapshot->count(query::Query());  // full scan
   query::Query by_time;
@@ -713,9 +667,9 @@ int metrics_main(int argc, char** argv) {
 
   // 3. Render the registry.
   const auto snap = obs::MetricsRegistry::global().snapshot();
-  if (options.format == "json") {
+  if (format == "json") {
     std::cout << obs::to_json(snap);
-  } else if (options.format == "prom") {
+  } else if (format == "prom") {
     std::cout << obs::to_prometheus(snap);
   } else {
     print_section(std::cout, "Counters");
@@ -742,22 +696,11 @@ int metrics_main(int argc, char** argv) {
       std::cout << hists;
     }
   }
-  if (!options.out.empty()) {
-    obs::write_metrics_file(options.out, obs::MetricsRegistry::global());
-    std::cerr << "[dosmeter] wrote metrics to " << options.out << "\n";
-  }
-  if (!options.listen.empty()) {
-    serve::ServerConfig server_config;
-    const std::size_t colon = options.listen.rfind(':');
-    const std::string port_text = colon == std::string::npos
-                                      ? options.listen
-                                      : options.listen.substr(colon + 1);
-    if (colon != std::string::npos)
-      server_config.bind_address = options.listen.substr(0, colon);
-    server_config.port = static_cast<std::uint16_t>(std::stoul(port_text));
-    const serve::Server server(server_config, engine);
+  write_metrics(out);
+  if (listen) {
+    const serve::Server server(*listen, engine);
     std::cerr << "[dosmeter] serving metrics at http://"
-              << server_config.bind_address << ":" << server.port()
+              << listen->bind_address << ":" << server.port()
               << "/metrics (Ctrl-C to stop)\n";
     std::promise<void>().get_future().wait();  // serve until killed
   }
@@ -768,153 +711,56 @@ int metrics_main(int argc, char** argv) {
 // `dosmeter serve` — the HTTP/JSON query server (src/serve).
 // ---------------------------------------------------------------------------
 
-struct ServeOptions {
-  sim::ScenarioConfig scenario;
-  std::string load_events;
-  serve::ServerConfig server;
-  int threads = 1;
-  int segment_days = 0;
-  int tick_millis = 100;
-};
-
-[[noreturn]] void serve_usage(int code) {
-  std::cout <<
-      "dosmeter serve — HTTP/JSON query server over the fused event dataset\n"
-      "dataset (pick one):\n"
-      "  --seed/--days/--domains/--direct/--reflection   simulate a world\n"
-      "  --load-events F   serve a binary event dump (dosmeter --save-events)\n"
-      "server:\n"
-      "  --address A       bind address (default 127.0.0.1)\n"
-      "  --port N          TCP port (default 8080; 0 picks an ephemeral\n"
-      "                    port, printed on startup)\n"
-      "  --workers N       worker threads (default 4)\n"
-      "  --queue N         pending-connection capacity; beyond it the\n"
-      "                    acceptor answers 429 (default 64)\n"
-      "  --cache-bytes N   result-cache budget in bytes (default 8 MiB;\n"
-      "                    0 disables caching)\n"
-      "  --max-rows N      per-query row budget -> 422 (default unlimited)\n"
-      "  --max-millis N    per-query time budget -> 422 (default unlimited)\n"
-      "  --threads N       snapshot build threads (default 1)\n"
-      "  --segment-days N  days per snapshot segment (default 0 = one)\n"
-      "subscriptions:\n"
-      "  --tick-millis N   delay between replayed study days on the live\n"
-      "                    alert feed (default 100; 0 replays instantly).\n"
-      "                    The dataset's events stream through the push\n"
-      "                    dispatcher day by day, so /subscribe + /watch\n"
-      "                    clients see a live feed.\n"
-      "endpoints: /  /healthz  /metrics  /query  /subscribe  /watch — see\n"
-      "src/serve/api.h for the /query parameters (same filters as\n"
-      "`dosmeter query`) and src/serve/subscribe_api.h for /subscribe and\n"
-      "/watch.\n";
-  std::exit(code);
-}
-
-ServeOptions parse_serve_options(int argc, char** argv) {
-  ServeOptions options;
-  options.server.port = 8080;
-  auto need_value = [&](int& i) -> std::string {
-    if (i + 1 >= argc) {
-      std::cerr << "missing value for " << argv[i] << "\n";
-      serve_usage(2);
-    }
-    return argv[++i];
-  };
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") serve_usage(0);
-    else if (arg == "--seed") options.scenario.seed = std::stoull(need_value(i));
-    else if (arg == "--days") {
-      const int days = std::stoi(need_value(i));
-      if (days < 2) {
-        std::cerr << "--days must be >= 2\n";
-        serve_usage(2);
-      }
-      options.scenario.window.end = civil_from_days(
-          days_from_civil(options.scenario.window.start) + days - 1);
-    } else if (arg == "--domains") {
-      options.scenario.hosting.num_domains = std::stoi(need_value(i));
-    } else if (arg == "--direct") {
-      options.scenario.attacker.direct_per_day = std::stod(need_value(i));
-    } else if (arg == "--reflection") {
-      options.scenario.attacker.reflection_per_day = std::stod(need_value(i));
-    } else if (arg == "--load-events") {
-      options.load_events = need_value(i);
-    } else if (arg == "--address") {
-      options.server.bind_address = need_value(i);
-    } else if (arg == "--port") {
-      options.server.port = static_cast<std::uint16_t>(std::stoul(need_value(i)));
-    } else if (arg == "--workers") {
-      options.server.workers = std::stoul(need_value(i));
-      if (options.server.workers == 0) {
-        std::cerr << "--workers must be >= 1\n";
-        serve_usage(2);
-      }
-    } else if (arg == "--queue") {
-      options.server.queue_capacity = std::stoul(need_value(i));
-    } else if (arg == "--cache-bytes") {
-      options.server.cache_bytes = std::stoul(need_value(i));
-    } else if (arg == "--max-rows") {
-      options.server.max_rows = std::stoull(need_value(i));
-    } else if (arg == "--max-millis") {
-      options.server.max_millis = std::stoull(need_value(i));
-    } else if (arg == "--threads") {
-      options.threads = std::stoi(need_value(i));
-      if (options.threads < 1) {
-        std::cerr << "--threads must be >= 1\n";
-        serve_usage(2);
-      }
-    } else if (arg == "--segment-days") {
-      options.segment_days = std::stoi(need_value(i));
-      if (options.segment_days < 0) {
-        std::cerr << "--segment-days must be >= 0\n";
-        serve_usage(2);
-      }
-    } else if (arg == "--tick-millis") {
-      options.tick_millis = std::stoi(need_value(i));
-      if (options.tick_millis < 0) {
-        std::cerr << "--tick-millis must be >= 0\n";
-        serve_usage(2);
-      }
-    } else {
-      std::cerr << "unknown serve option: " << arg << "\n";
-      serve_usage(2);
-    }
-  }
-  return options;
-}
+constexpr std::string_view kServeHelp =
+    "dosmeter serve — HTTP/JSON query server over the fused event dataset\n"
+    "dataset (pick one):\n"
+    "  --seed/--days/--domains/--direct/--reflection   simulate a world\n"
+    "  --load-events F   serve a binary event dump (dosmeter --save-events)\n"
+    "server:\n"
+    "  --address A       bind address (default 127.0.0.1)\n"
+    "  --port N          TCP port (default 8080; 0 picks an ephemeral\n"
+    "                    port, printed on startup)\n"
+    "  --workers N       worker threads (default 4)\n"
+    "  --queue N         pending-connection capacity; beyond it the\n"
+    "                    acceptor answers 429 (default 64)\n"
+    "  --cache-bytes N   result-cache budget in bytes (default 8 MiB;\n"
+    "                    0 disables caching)\n"
+    "  --max-rows N      per-query row budget -> 422 (default unlimited)\n"
+    "  --max-millis N    per-query time budget -> 422 (default unlimited)\n"
+    "  --threads N       snapshot build threads (default 1)\n"
+    "  --segment-days N  days per snapshot segment (default 0 = one)\n"
+    "subscriptions:\n"
+    "  --tick-millis N   delay between replayed study days on the live\n"
+    "                    alert feed (default 100; 0 replays instantly).\n"
+    "                    The dataset's events stream through the push\n"
+    "                    dispatcher day by day, so /subscribe + /watch\n"
+    "                    clients see a live feed.\n"
+    "endpoints: /  /healthz  /metrics  /query  /subscribe  /watch — see\n"
+    "src/serve/api.h for the /query parameters (same filters as\n"
+    "`dosmeter query`) and src/serve/subscribe_api.h for /subscribe and\n"
+    "/watch.\n";
 
 int serve_main(int argc, char** argv) {
-  const ServeOptions options = parse_serve_options(argc, argv);
+  Dataset data;
+  serve::ServerConfig server_config;
+  server_config.port = 8080;
+  int tick_millis = 100;
+  Flags flags{text("--address", server_config.bind_address),
+              number("--port", server_config.port),
+              number("--workers", server_config.workers, 1),
+              number("--queue", server_config.queue_capacity),
+              number("--cache-bytes", server_config.cache_bytes),
+              number("--max-rows", server_config.max_rows),
+              number("--max-millis", server_config.max_millis),
+              number("--tick-millis", tick_millis)};
+  add_dataset_flags(flags, data);
+  add_build_flags(flags, data);
+  parse_flags(argc, argv, 2, flags, "serve ", kServeHelp);
 
-  // Materialize the snapshot the same way `dosmeter query` does, keeping
-  // the event list around for the live subscription replay below.
-  std::shared_ptr<const query::Snapshot> snapshot;
-  const StudyWindow window = options.scenario.window;
-  const meta::PrefixToAsMap empty_pfx2as;
-  const meta::GeoDatabase empty_geo;
-  std::unique_ptr<sim::World> world;
-  std::vector<core::AttackEvent> events;
-  if (!options.load_events.empty()) {
-    events = core::load_events(options.load_events);
-    std::cerr << "[dosmeter] loaded " << events.size() << " events from "
-              << options.load_events << "\n";
-    snapshot = query::Snapshot::build(
-        window, events,
-        query::BuildContext{empty_pfx2as, empty_geo, options.threads,
-                            options.segment_days},
-        /*version=*/1);
-  } else {
-    std::cerr << "[dosmeter] building " << window.num_days()
-              << "-day world (seed " << options.scenario.seed << ")...\n";
-    world = sim::build_world(options.scenario);
-    events.assign(world->store.events().begin(), world->store.events().end());
-    snapshot = query::Snapshot::from_store(
-        world->store,
-        query::BuildContext{world->population.pfx2as(),
-                            world->population.geo(), options.threads,
-                            options.segment_days},
-        /*version=*/1);
-  }
+  // Keeps the loaded events around for the live subscription replay below.
+  const Loaded loaded = load_dataset(data);
+  std::shared_ptr<const query::Snapshot> snapshot =
+      build_snapshot(data, loaded);
   std::cerr << "[dosmeter] snapshot ready: " << snapshot->size()
             << " events indexed in " << snapshot->num_segments()
             << " segment(s)\n";
@@ -923,36 +769,32 @@ int serve_main(int argc, char** argv) {
   engine.publish(std::move(snapshot));
 
   subscribe::DispatcherConfig dispatcher_config;
-  dispatcher_config.window = window;
-  if (world != nullptr) {
-    dispatcher_config.pfx2as = &world->population.pfx2as();
-    dispatcher_config.geo = &world->population.geo();
+  dispatcher_config.window = data.scenario.window;
+  if (loaded.world != nullptr) {
+    dispatcher_config.pfx2as = &loaded.world->population.pfx2as();
+    dispatcher_config.geo = &loaded.world->population.geo();
   }
   subscribe::Dispatcher dispatcher(dispatcher_config);
-  const serve::Server server(options.server, engine, &dispatcher);
-  std::cerr << "[dosmeter] serving at http://" << options.server.bind_address
-            << ":" << server.port() << "/query (" << options.server.workers
-            << " workers, queue " << options.server.queue_capacity
-            << ", cache " << options.server.cache_bytes
+  const serve::Server server(server_config, engine, &dispatcher);
+  std::cerr << "[dosmeter] serving at http://" << server_config.bind_address
+            << ":" << server.port() << "/query (" << server_config.workers
+            << " workers, queue " << server_config.queue_capacity
+            << ", cache " << server_config.cache_bytes
             << " bytes; Ctrl-C to stop)\n";
 
   // Live feed: replay the dataset through the dispatcher day by day so
   // /subscribe + /watch clients get a stream instead of a fait accompli.
-  std::thread replay([&options, &dispatcher, &events, window] {
-    std::sort(events.begin(), events.end(), core::canonical_less);
-    int open_day = -1;
-    for (const auto& event : events) {
-      const auto t = static_cast<UnixSeconds>(event.start);
-      const int day = window.contains(t) ? window.day_of(t) : -1;
-      if (day != open_day && open_day != -1) {
-        dispatcher.tick();
-        if (options.tick_millis > 0)
-          std::this_thread::sleep_for(
-              std::chrono::milliseconds(options.tick_millis));
-      }
-      open_day = day;
-      dispatcher.ingest(event);
-    }
+  std::thread replay([&] {
+    replay_by_day(
+        loaded.events(), data.scenario.window,
+        [&dispatcher](const core::AttackEvent& event) {
+          dispatcher.ingest(event);
+        },
+        [&dispatcher, tick_millis] {
+          dispatcher.tick();
+          if (tick_millis > 0)
+            std::this_thread::sleep_for(std::chrono::milliseconds(tick_millis));
+        });
     dispatcher.tick();
     std::cerr << "[dosmeter] replay complete: "
               << dispatcher.events_ingested()
@@ -967,138 +809,69 @@ int serve_main(int argc, char** argv) {
 // `dosmeter watch` — replay a dataset through the subscription dispatcher.
 // ---------------------------------------------------------------------------
 
-struct WatchOptions {
-  sim::ScenarioConfig scenario;
-  std::string load_events;
-  subscribe::Predicate predicate;
-  std::size_t max = 50;
-};
-
-[[noreturn]] void watch_usage(int code) {
-  std::cout <<
-      "dosmeter watch — replay a dataset through the subscription layer\n"
-      "Registers one subscription, replays the dataset's events through the\n"
-      "push dispatcher (one tick per study day, streaming-fusion spike\n"
-      "alerts included), and prints the notifications a live watcher would\n"
-      "have received. The same predicate fields drive the query server's\n"
-      "/subscribe + /watch endpoints (`dosmeter serve`).\n"
-      "dataset (pick one):\n"
-      "  --seed/--days/--domains/--direct/--reflection   simulate a world\n"
-      "  --load-events F   replay a binary event dump (dosmeter\n"
-      "                    --save-events); ASN/country resolve only with a\n"
-      "                    simulated world, so those filters match nothing\n"
-      "                    on a dump\n"
-      "predicate (ANDed; none = firehose):\n"
-      "  --prefix A.B.C.D/L  victim inside the CIDR prefix\n"
-      "  --asn N             victim's origin AS\n"
-      "  --country CC        victim's geolocated country\n"
-      "  --proto N           IP protocol of the attack (6=TCP, 17=UDP)\n"
-      "  --kind K            new-attack | attack-spike | target-spike\n"
-      "output:\n"
-      "  --max N             notifications to print (default 50; 0 = all)\n";
-  std::exit(code);
-}
-
-WatchOptions parse_watch_options(int argc, char** argv) {
-  WatchOptions options;
-  auto need_value = [&](int& i) -> std::string {
-    if (i + 1 >= argc) {
-      std::cerr << "missing value for " << argv[i] << "\n";
-      watch_usage(2);
-    }
-    return argv[++i];
-  };
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") watch_usage(0);
-    else if (arg == "--seed") options.scenario.seed = std::stoull(need_value(i));
-    else if (arg == "--days") {
-      const int days = std::stoi(need_value(i));
-      if (days < 2) {
-        std::cerr << "--days must be >= 2\n";
-        watch_usage(2);
-      }
-      options.scenario.window.end = civil_from_days(
-          days_from_civil(options.scenario.window.start) + days - 1);
-    } else if (arg == "--domains") {
-      options.scenario.hosting.num_domains = std::stoi(need_value(i));
-    } else if (arg == "--direct") {
-      options.scenario.attacker.direct_per_day = std::stod(need_value(i));
-    } else if (arg == "--reflection") {
-      options.scenario.attacker.reflection_per_day = std::stod(need_value(i));
-    } else if (arg == "--load-events") {
-      options.load_events = need_value(i);
-    } else if (arg == "--prefix") {
-      options.predicate.match_prefix(net::Prefix::parse(need_value(i)));
-    } else if (arg == "--asn") {
-      options.predicate.match_asn(
-          static_cast<meta::Asn>(std::stoul(need_value(i))));
-    } else if (arg == "--country") {
-      options.predicate.match_country(meta::CountryCode(need_value(i)));
-    } else if (arg == "--proto") {
-      options.predicate.match_proto(
-          static_cast<std::uint8_t>(std::stoi(need_value(i))));
-    } else if (arg == "--kind") {
-      const std::string name = need_value(i);
-      const auto kind = core::parse_alert_kind(name);
-      if (!kind) {
-        std::cerr << "--kind must be new-attack|attack-spike|target-spike\n";
-        watch_usage(2);
-      }
-      options.predicate.match_kind(*kind);
-    } else if (arg == "--max") {
-      options.max = static_cast<std::size_t>(std::stoul(need_value(i)));
-    } else {
-      std::cerr << "unknown watch option: " << arg << "\n";
-      watch_usage(2);
-    }
-  }
-  return options;
-}
+constexpr std::string_view kWatchHelp =
+    "dosmeter watch — replay a dataset through the subscription layer\n"
+    "Registers one subscription, replays the dataset's events through the\n"
+    "push dispatcher (one tick per study day, streaming-fusion spike\n"
+    "alerts included), and prints the notifications a live watcher would\n"
+    "have received. The same predicate fields drive the query server's\n"
+    "/subscribe + /watch endpoints (`dosmeter serve`).\n"
+    "dataset (pick one):\n"
+    "  --seed/--days/--domains/--direct/--reflection   simulate a world\n"
+    "  --load-events F   replay a binary event dump (dosmeter\n"
+    "                    --save-events); ASN/country resolve only with a\n"
+    "                    simulated world, so those filters match nothing\n"
+    "                    on a dump\n"
+    "predicate (ANDed; none = firehose):\n"
+    "  --prefix A.B.C.D/L  victim inside the CIDR prefix\n"
+    "  --asn N             victim's origin AS\n"
+    "  --country CC        victim's geolocated country\n"
+    "  --proto N           IP protocol of the attack (6=TCP, 17=UDP)\n"
+    "  --kind K            new-attack | attack-spike | target-spike\n"
+    "output:\n"
+    "  --max N             notifications to print (default 50; 0 = all)\n";
 
 int watch_main(int argc, char** argv) {
-  const WatchOptions options = parse_watch_options(argc, argv);
+  Dataset data;
+  serve::Params params;
+  std::size_t max = 50;
+  Flags flags{number("--max", max)};
+  add_dataset_flags(flags, data);
+  for (const std::string_view name :
+       {"--prefix", "--asn", "--country", "--proto", "--kind"})
+    flags.push_back(param(name, params));
+  parse_flags(argc, argv, 2, flags, "watch ", kWatchHelp);
+  const subscribe::Predicate predicate =
+      parse_params(params, kWatchHelp, serve::parse_subscribe_params)
+          .predicate;
 
-  std::vector<core::AttackEvent> events;
+  const Loaded loaded = load_dataset(data);
   subscribe::DispatcherConfig config;
-  config.window = options.scenario.window;
-  std::unique_ptr<sim::World> world;
-  if (!options.load_events.empty()) {
-    events = core::load_events(options.load_events);
-    std::cerr << "[dosmeter] loaded " << events.size() << " events from "
-              << options.load_events << "\n";
-  } else {
-    std::cerr << "[dosmeter] building " << config.window.num_days()
-              << "-day world (seed " << options.scenario.seed << ")...\n";
-    world = sim::build_world(options.scenario);
-    events.assign(world->store.events().begin(), world->store.events().end());
-    config.pfx2as = &world->population.pfx2as();
-    config.geo = &world->population.geo();
+  config.window = data.scenario.window;
+  if (loaded.world != nullptr) {
+    config.pfx2as = &loaded.world->population.pfx2as();
+    config.geo = &loaded.world->population.geo();
   }
-  std::sort(events.begin(), events.end(), core::canonical_less);
-
   subscribe::Dispatcher dispatcher(config);
-  const subscribe::SubscriptionId id = dispatcher.subscribe(options.predicate);
-  std::cerr << "[dosmeter] watching " << options.predicate.to_string()
-            << " over " << events.size() << " events\n";
+  const subscribe::SubscriptionId id = dispatcher.subscribe(predicate);
+  std::cerr << "[dosmeter] watching " << predicate.to_string() << " over "
+            << loaded.events().size() << " events\n";
 
   // The dispatcher doubles as the fusion's alert sink, so day-level spike
   // alerts dispatch alongside the per-event kNewAttack alerts.
   core::StreamingFusion fusion(config.window, {},
                                [](const core::DaySummary&) {}, &dispatcher);
-  int open_day = -1;
-  for (const auto& event : events) {
-    const auto t = static_cast<UnixSeconds>(event.start);
-    const int day = config.window.contains(t) ? config.window.day_of(t) : -1;
-    if (day != open_day && open_day != -1) dispatcher.tick();
-    open_day = day;
-    fusion.ingest(event);
-    dispatcher.ingest(event);
-  }
+  replay_by_day(
+      loaded.events(), config.window,
+      [&](const core::AttackEvent& event) {
+        fusion.ingest(event);
+        dispatcher.ingest(event);
+      },
+      [&dispatcher] { dispatcher.tick(); });
   fusion.finish();
   dispatcher.tick();
 
-  const auto result = dispatcher.fetch(id, 0, options.max);
+  const auto result = dispatcher.fetch(id, 0, max);
   if (!result) {
     std::cerr << "dosmeter: subscription vanished mid-replay\n";
     return 1;
@@ -1136,178 +909,63 @@ int watch_main(int argc, char** argv) {
 // `dosmeter archive` — seal snapshots to disk, query them back tiered.
 // ---------------------------------------------------------------------------
 
-struct ArchiveOptions {
-  std::string mode;  // save | load
-  std::string file;
-  // save:
-  sim::ScenarioConfig scenario;
-  std::string load_events;
-  int threads = 1;
-  int segment_days = 7;
-  // load:
-  int hot_days = 0;
-  std::size_t cache_bytes = 64u << 20;
-  query::Query query;
-  std::optional<CivilDate> from;
-  std::optional<CivilDate> to;
-  std::string agg = "summary";
-  std::size_t k = 10;
-  bool explain = false;
-  std::string metrics_out;
-};
-
-[[noreturn]] void archive_usage(int code) {
-  std::cout <<
-      "dosmeter archive — compressed on-disk segment archives (src/storage)\n"
-      "  dosmeter archive save --file F [dataset] [--threads N]\n"
-      "                        [--segment-days N (default 7)]\n"
-      "    seals the dataset's snapshot segments into archive F and prints\n"
-      "    the compression ratio vs the raw in-memory columns.\n"
-      "    dataset: --seed/--days/--domains/--direct/--reflection to\n"
-      "    simulate a world, or --load-events F for a binary event dump.\n"
-      "  dosmeter archive load --file F [--hot-days N] [--cache-bytes N]\n"
-      "                        [filters] [--agg A] [--k N] [--explain]\n"
-      "                        [--metrics-out F]\n"
-      "    opens F as a tiered snapshot — the trailing --hot-days stay\n"
-      "    resident, everything older decodes on demand through an LRU\n"
-      "    cache of --cache-bytes (0 = no cache) — and runs one query.\n"
-      "    Filters and aggregations are those of `dosmeter query`; results\n"
-      "    are byte-identical to querying the archived dataset in memory,\n"
-      "    for any --hot-days / --cache-bytes.\n";
-  std::exit(code);
-}
-
-ArchiveOptions parse_archive_options(int argc, char** argv) {
-  ArchiveOptions options;
-  if (argc < 3) archive_usage(2);
-  options.mode = argv[2];
-  if (options.mode == "--help" || options.mode == "-h") archive_usage(0);
-  if (options.mode != "save" && options.mode != "load") {
-    std::cerr << "archive mode must be save|load\n";
-    archive_usage(2);
-  }
-  auto need_value = [&](int& i) -> std::string {
-    if (i + 1 >= argc) {
-      std::cerr << "missing value for " << argv[i] << "\n";
-      archive_usage(2);
-    }
-    return argv[++i];
-  };
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") archive_usage(0);
-    else if (arg == "--file") options.file = need_value(i);
-    else if (arg == "--seed") options.scenario.seed = std::stoull(need_value(i));
-    else if (arg == "--days") {
-      const int days = std::stoi(need_value(i));
-      if (days < 2) {
-        std::cerr << "--days must be >= 2\n";
-        archive_usage(2);
-      }
-      options.scenario.window.end = civil_from_days(
-          days_from_civil(options.scenario.window.start) + days - 1);
-    } else if (arg == "--domains") {
-      options.scenario.hosting.num_domains = std::stoi(need_value(i));
-    } else if (arg == "--direct") {
-      options.scenario.attacker.direct_per_day = std::stod(need_value(i));
-    } else if (arg == "--reflection") {
-      options.scenario.attacker.reflection_per_day = std::stod(need_value(i));
-    } else if (arg == "--load-events") {
-      options.load_events = need_value(i);
-    } else if (arg == "--threads") {
-      options.threads = std::stoi(need_value(i));
-      if (options.threads < 1) {
-        std::cerr << "--threads must be >= 1\n";
-        archive_usage(2);
-      }
-    } else if (arg == "--segment-days") {
-      options.segment_days = std::stoi(need_value(i));
-      if (options.segment_days < 0) {
-        std::cerr << "--segment-days must be >= 0\n";
-        archive_usage(2);
-      }
-    } else if (arg == "--hot-days") {
-      options.hot_days = std::stoi(need_value(i));
-    } else if (arg == "--cache-bytes") {
-      options.cache_bytes = std::stoul(need_value(i));
-    } else if (arg == "--from") {
-      options.from = parse_civil(need_value(i));
-    } else if (arg == "--to") {
-      options.to = parse_civil(need_value(i));
-    } else if (arg == "--source") {
-      const std::string value = need_value(i);
-      if (value == "telescope")
-        options.query.from_source(core::SourceFilter::kTelescope);
-      else if (value == "honeypot")
-        options.query.from_source(core::SourceFilter::kHoneypot);
-      else if (value == "combined")
-        options.query.from_source(core::SourceFilter::kCombined);
-      else {
-        std::cerr << "--source must be telescope|honeypot|combined\n";
-        archive_usage(2);
-      }
-    } else if (arg == "--prefix") {
-      options.query.in_prefix(net::Prefix::parse(need_value(i)));
-    } else if (arg == "--asn") {
-      options.query.in_asn(static_cast<meta::Asn>(std::stoul(need_value(i))));
-    } else if (arg == "--country") {
-      options.query.in_country(meta::CountryCode(need_value(i)));
-    } else if (arg == "--port") {
-      options.query.on_port(static_cast<std::uint16_t>(std::stoi(need_value(i))));
-    } else if (arg == "--min-intensity") {
-      options.query.at_least(std::stod(need_value(i)));
-    } else if (arg == "--agg") {
-      options.agg = need_value(i);
-    } else if (arg == "--k") {
-      options.k = static_cast<std::size_t>(std::stoul(need_value(i)));
-    } else if (arg == "--explain") {
-      options.explain = true;
-    } else if (arg == "--metrics-out") {
-      options.metrics_out = need_value(i);
-    } else {
-      std::cerr << "unknown archive option: " << arg << "\n";
-      archive_usage(2);
-    }
-  }
-  if (options.file.empty()) {
-    std::cerr << "archive " << options.mode << " needs --file\n";
-    archive_usage(2);
-  }
-  return options;
-}
+constexpr std::string_view kArchiveHelp =
+    "dosmeter archive — compressed on-disk segment archives (src/storage)\n"
+    "  dosmeter archive save --file F [dataset] [--threads N]\n"
+    "                        [--segment-days N (default 7)]\n"
+    "    seals the dataset's snapshot segments into archive F and prints\n"
+    "    the compression ratio vs the raw in-memory columns.\n"
+    "    dataset: --seed/--days/--domains/--direct/--reflection to\n"
+    "    simulate a world, or --load-events F for a binary event dump.\n"
+    "  dosmeter archive load --file F [--hot-days N] [--cache-bytes N]\n"
+    "                        [filters] [--agg A] [--k N] [--explain]\n"
+    "                        [--metrics-out F]\n"
+    "    opens F as a tiered snapshot — the trailing --hot-days stay\n"
+    "    resident, everything older decodes on demand through an LRU\n"
+    "    cache of --cache-bytes (0 = no cache) — and runs one query.\n"
+    "    Filters and aggregations are those of `dosmeter query`; results\n"
+    "    are byte-identical to querying the archived dataset in memory,\n"
+    "    for any --hot-days / --cache-bytes.\n";
 
 int archive_main(int argc, char** argv) {
-  ArchiveOptions options = parse_archive_options(argc, argv);
-  const meta::PrefixToAsMap empty_pfx2as;
-  const meta::GeoDatabase empty_geo;
+  if (argc < 3) usage(kArchiveHelp, 2);
+  const std::string_view mode = argv[2];
+  if (mode == "--help" || mode == "-h") usage(kArchiveHelp, 0);
+  if (mode != "save" && mode != "load")
+    fail(kArchiveHelp, "archive mode must be save|load");
 
-  if (options.mode == "save") {
+  std::string file;
+  Dataset data;  // save
+  data.segment_days = 7;
+  query::BuildContext ctx = bare_context();  // load
+  serve::Params params;
+  std::string metrics_out;
+  Flags flags{text("--file", file),
+              number("--hot-days", ctx.hot_days),
+              number("--cache-bytes", ctx.cold_cache_bytes),
+              text("--metrics-out", metrics_out)};
+  add_dataset_flags(flags, data);
+  add_build_flags(flags, data);
+  add_query_flags(flags, params);
+  parse_flags(argc, argv, 3, flags, "archive ", kArchiveHelp);
+  if (file.empty())
+    fail(kArchiveHelp, "archive " + std::string(mode) + " needs --file");
+  const auto parse_query = [&params](const StudyWindow& window) {
+    return parse_params(params, kArchiveHelp,
+                        [&window](const serve::Params& p) {
+                          return serve::parse_query_params(p, window);
+                        });
+  };
+  parse_query(data.scenario.window);  // reject bad filters before any work
+
+  if (mode == "save") {
     // Same dataset paths as `dosmeter query`, then one write_archive call.
-    std::shared_ptr<const query::Snapshot> snapshot;
-    std::unique_ptr<sim::World> world;
-    if (!options.load_events.empty()) {
-      const auto events = core::load_events(options.load_events);
-      std::cerr << "[dosmeter] loaded " << events.size() << " events from "
-                << options.load_events << "\n";
-      snapshot = query::Snapshot::build(
-          options.scenario.window, events,
-          query::BuildContext{empty_pfx2as, empty_geo, options.threads,
-                              options.segment_days});
-    } else {
-      std::cerr << "[dosmeter] building " << options.scenario.window.num_days()
-                << "-day world (seed " << options.scenario.seed << ")...\n";
-      world = sim::build_world(options.scenario);
-      snapshot = query::Snapshot::from_store(
-          world->store,
-          query::BuildContext{world->population.pfx2as(),
-                              world->population.geo(), options.threads,
-                              options.segment_days});
-    }
-    const std::uint64_t archive_bytes =
-        storage::write_archive(options.file, *snapshot);
+    const Loaded loaded = load_dataset(data);
+    const auto snapshot = build_snapshot(data, loaded);
+    const std::uint64_t archive_bytes = storage::write_archive(file, *snapshot);
     const std::uint64_t raw_bytes = snapshot->size() * 42;  // SoA bytes/row
     std::cout << "archived " << snapshot->size() << " events in "
-              << snapshot->num_segments() << " segment(s) to " << options.file
+              << snapshot->num_segments() << " segment(s) to " << file
               << "\n";
     std::cout << "bytes: " << archive_bytes << " compressed vs " << raw_bytes
               << " raw columns (" << fixed(double(raw_bytes) /
@@ -1318,54 +976,47 @@ int archive_main(int argc, char** argv) {
     return 0;
   }
 
-  // load: open tiered, run one query through the hot/cold machinery.
-  query::BuildContext ctx{empty_pfx2as, empty_geo};
-  ctx.hot_days = options.hot_days;
-  ctx.cold_cache_bytes = options.cache_bytes;
-  const auto snapshot = storage::open_tiered(options.file, ctx, /*version=*/1);
-  const StudyWindow window = snapshot->window();
-  std::cerr << "[dosmeter] opened " << options.file << ": " << snapshot->size()
+  // load: open tiered, run one query through the hot/cold machinery. Day
+  // filters resolve against the archive's own window.
+  const auto snapshot = storage::open_tiered(file, ctx, /*version=*/1);
+  std::cerr << "[dosmeter] opened " << file << ": " << snapshot->size()
             << " events in " << snapshot->num_segments() << " segment(s), "
             << (snapshot->fully_resident() ? "all hot" : "tiered") << "\n";
-
-  if (options.from || options.to) {
-    const double begin =
-        options.from ? static_cast<double>(unix_from_civil(*options.from))
-                     : static_cast<double>(window.start_time());
-    const double end =
-        options.to ? static_cast<double>(unix_from_civil(*options.to) +
-                                         kSecondsPerDay)
-                   : static_cast<double>(window.end_time());
-    options.query.between(begin, end);
-  }
-  if (!print_aggregation(*snapshot, window, options.query, options.agg,
-                         options.k, options.explain)) {
-    std::cerr << "unknown aggregation: " << options.agg << "\n";
-    archive_usage(2);
-  }
-  if (!options.metrics_out.empty()) {
-    obs::write_metrics_file(options.metrics_out, obs::MetricsRegistry::global());
-    std::cerr << "[dosmeter] wrote metrics to " << options.metrics_out << "\n";
-  }
+  print_aggregation(*snapshot, parse_query(snapshot->window()));
+  write_metrics(metrics_out);
   return 0;
 }
 
-}  // namespace
+// ---------------------------------------------------------------------------
+// `dosmeter` — the full characterization report.
+// ---------------------------------------------------------------------------
 
-int main(int argc, char** argv) try {
-  if (argc > 1 && std::string(argv[1]) == "query") return query_main(argc, argv);
-  if (argc > 1 && std::string(argv[1]) == "detect")
-    return detect_main(argc, argv);
-  if (argc > 1 && std::string(argv[1]) == "metrics")
-    return metrics_main(argc, argv);
-  if (argc > 1 && std::string(argv[1]) == "serve")
-    return serve_main(argc, argv);
-  if (argc > 1 && std::string(argv[1]) == "watch")
-    return watch_main(argc, argv);
-  if (argc > 1 && std::string(argv[1]) == "archive")
-    return archive_main(argc, argv);
-  const Options options = parse_options(argc, argv);
-  const auto& config = options.scenario;
+constexpr std::string_view kReportHelp =
+    "dosmeter — macroscopic DoS-ecosystem characterization\n"
+    "  --seed N        world seed (default 42)\n"
+    "  --days N        study window length in days (default 731)\n"
+    "  --domains N     Web domains in the namespace (default 60000)\n"
+    "  --direct N      ground-truth direct attacks/day (default 440)\n"
+    "  --reflection N  ground-truth reflection attacks/day (default 75)\n"
+    "  --out DIR       write CSV reports into DIR\n"
+    "  --save-events F write the detected events as a binary dump\n"
+    "  --quiet         suppress the text report\n"
+    "subcommands:\n"
+    "  dosmeter query --help    ad-hoc queries over the event store\n"
+    "  dosmeter detect --help   packet-level parallel detection\n"
+    "  dosmeter metrics --help  pipeline observability view\n"
+    "  dosmeter serve --help    HTTP/JSON query server\n"
+    "  dosmeter watch --help    push-based subscription replay\n"
+    "  dosmeter archive --help  on-disk segment archives\n";
+
+int report_main(int argc, char** argv) {
+  sim::ScenarioConfig config;
+  std::string out_dir, events_out;
+  bool quiet = false;
+  Flags flags{text("--out", out_dir), text("--save-events", events_out),
+              toggle("--quiet", quiet)};
+  add_world_flags(flags, config);
+  parse_flags(argc, argv, 1, flags, "", kReportHelp);
 
   std::cerr << "[dosmeter] building " << config.window.num_days()
             << "-day world (seed " << config.seed << ", "
@@ -1383,7 +1034,7 @@ int main(int argc, char** argv) try {
   const auto taxonomy = core::classify_websites(impact, timelines, world->dns);
   const core::MigrationAnalysis migration(impact, timelines);
 
-  if (!options.quiet) {
+  if (!quiet) {
     print_section(std::cout, "Attack events");
     TextTable table({"source", "#events", "#targets", "#/24s", "#ASNs"});
     for (const auto filter :
@@ -1418,16 +1069,10 @@ int main(int argc, char** argv) try {
               << "\n";
   }
 
-  if (!options.save_events.empty()) {
-    std::vector<core::AttackEvent> events(world->store.events().begin(),
-                                          world->store.events().end());
-    core::save_events(options.save_events, events);
-    std::cerr << "[dosmeter] wrote " << events.size() << " events to "
-              << options.save_events << "\n";
-  }
+  write_events(events_out, world->store.events());
 
-  if (!options.out_dir.empty()) {
-    const std::filesystem::path dir(options.out_dir);
+  if (!out_dir.empty()) {
+    const std::filesystem::path dir(out_dir);
     std::filesystem::create_directories(dir);
 
     // Daily series CSV.
@@ -1483,6 +1128,18 @@ int main(int argc, char** argv) try {
               << dir << "\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) try {
+  constexpr std::pair<std::string_view, int (*)(int, char**)> kSubcommands[] = {
+      {"query", query_main},     {"detect", detect_main},
+      {"metrics", metrics_main}, {"serve", serve_main},
+      {"watch", watch_main},     {"archive", archive_main}};
+  for (const auto& [name, run] : kSubcommands)
+    if (argc > 1 && argv[1] == name) return run(argc, argv);
+  return report_main(argc, argv);
 } catch (const std::exception& e) {
   std::cerr << "dosmeter: " << e.what() << "\n";
   return 1;
