@@ -4,8 +4,8 @@
 // The subscription mix mirrors what a live deployment of the paper's §9
 // near-realtime loop would carry: mostly exact-victim (/32) watchers, a
 // large /24 netblock tier, ASN and country watchers, a protocol tier, and
-// a deliberately tiny unindexable tail (firehose + short prefixes) that
-// lands on the scan list.
+// a deliberately tiny broad tail: /8 watchers, which are prefix postings,
+// and the firehose, which is the only thing left on the scan list.
 //
 // Before any timing runs, an identity check replays a shared alert stream
 // through SubscriptionIndex::match and the ScanOracle at the FULL
@@ -43,7 +43,7 @@ struct Mix {
   std::size_t asn = 0;
   std::size_t country = 0;
   std::size_t proto = 0;
-  std::size_t scan = 0;  // firehose + /8 — the unindexable tail
+  std::size_t scan = 0;  // firehose + /8 — the broad tail
 };
 
 Mix mix_for(std::size_t total) {
@@ -56,7 +56,7 @@ Mix mix_for(std::size_t total) {
                                       // would fan out to a fixed fraction
                                       // of ALL watchers, which no posting
                                       // scheme can make sublinear)
-  mix.scan = total / 1000;            // 0.1% scan-list tail (small by design)
+  mix.scan = total / 1000;            // 0.1% broad tail (small by design)
   return mix;
 }
 

@@ -265,11 +265,16 @@ std::vector<GroundTruthAttack> Attacker::generate() {
   const int days = window_.num_days();
 
   // Campaign days against mega hosters (Figure-7 peaks). One campaign hits
-  // a DPS front IP (the DOSarrest mega co-hosting case).
+  // a DPS front IP (the DOSarrest mega co-hosting case). Campaigns keep 10
+  // days clear of both window edges; windows shorter than 20 days have no
+  // such room and draw from every day.
+  const bool edge_margin = days >= 20;
+  const std::int64_t first_day = edge_margin ? 10 : 0;
+  const std::int64_t last_day = edge_margin ? days - 10 : std::max(days - 1, 0);
   std::vector<int> campaign_days;
   for (int c = 0; c < config_.num_campaigns; ++c)
     campaign_days.push_back(
-        static_cast<int>(rng_.uniform_int(10, days - 10)));
+        static_cast<int>(rng_.uniform_int(first_day, last_day)));
   std::sort(campaign_days.begin(), campaign_days.end());
 
   for (int day = 0; day < days; ++day) {

@@ -9,15 +9,44 @@
 namespace dosm::subscribe {
 namespace {
 
-/// Same coalescing bucket: one victim's repeated alerts within a tick fold
-/// into one delta (same kind + target for event alerts; same kind + day for
+/// Coalescing bucket: one victim's repeated alerts within a tick fold into
+/// one delta (same kind + target for event alerts; same kind + day for
 /// victimless spikes).
-bool same_bucket(const core::Alert& a, const core::Alert& b) {
-  if (a.kind != b.kind || a.has_event != b.has_event) return false;
-  return a.has_event ? a.event.target == b.event.target : a.day == b.day;
+std::uint64_t bucket_of(const core::Alert& alert) {
+  const std::uint32_t victim =
+      alert.has_event ? alert.event.target.value()
+                      : static_cast<std::uint32_t>(alert.day);
+  return (std::uint64_t{alert.has_event} << 40) |
+         (std::uint64_t{static_cast<std::uint8_t>(alert.kind)} << 32) | victim;
 }
 
 }  // namespace
+
+void Dispatcher::Queue::push_back(Entry entry) {
+  if (size_ == slots_.size()) {
+    std::vector<Entry> grown(std::max<std::size_t>(8, slots_.size() * 2));
+    for (std::size_t i = 0; i < size_; ++i)
+      grown[i] = std::move(slots_[(head_ + i) & (slots_.size() - 1)]);
+    slots_ = std::move(grown);
+    head_ = 0;
+  }
+  slots_[(head_ + size_) & (slots_.size() - 1)] = std::move(entry);
+  ++size_;
+}
+
+void Dispatcher::Queue::pop_front(std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) {
+    slots_[head_].alert.reset();
+    head_ = (head_ + 1) & (slots_.size() - 1);
+  }
+  size_ -= count;
+}
+
+void Dispatcher::Queue::clear() {
+  slots_ = {};
+  head_ = 0;
+  size_ = 0;
+}
 
 Dispatcher::Dispatcher(DispatcherConfig config) : config_(config) {
   if (config_.max_pending == 0)
@@ -58,7 +87,6 @@ bool Dispatcher::unsubscribe(SubscriptionId id) {
     sub->active = false;
     pending_total_ -= sub->queue.size();
     sub->queue.clear();
-    sub->queue.shrink_to_fit();
     sub->staged.clear();
     sub->staged.shrink_to_fit();
     --active_count_;
@@ -108,24 +136,35 @@ void Dispatcher::dispatch_locked(const core::Alert& alert) {
   // Ascending subscription-id order (the index contract) — together with
   // arrival-order dispatch this realizes the (event, subscription_id)
   // total order the determinism contract promises.
+  const auto [open, opened] =
+      open_buckets_.try_emplace(bucket_of(alert), open_count_);
+  if (opened && ++open_count_ > holders_.size()) holders_.emplace_back();
+  std::vector<Holder>& holders = holders_[*open];
+  if (opened) holders.clear();
+  // Merge the matches into the bucket's holders (both ascending): a match
+  // that already holds an entry folds into it, any other stages a new one.
+  std::shared_ptr<const core::Alert> shared;  // made on the first new entry
+  merge_scratch_.clear();
+  std::size_t h = 0;
   for (const SubscriptionId id : match_scratch_) {
+    for (; h < holders.size() && holders[h].id < id; ++h)
+      merge_scratch_.push_back(holders[h]);
     Subscription& sub = subs_[id - 1];
-    bool folded = false;
-    for (Notification& staged : sub.staged) {
-      if (same_bucket(staged.alert, alert)) {
-        ++staged.coalesced;
-        metrics.coalesced.inc();
-        folded = true;
-        break;
-      }
+    if (h < holders.size() && holders[h].id == id) {
+      ++sub.staged[holders[h].staged_index].coalesced;
+      metrics.coalesced.inc();
+      merge_scratch_.push_back(holders[h++]);
+      continue;
     }
-    if (folded) continue;
     if (sub.staged.empty()) dirty_.push_back(id);
-    Notification notification;
-    notification.seq = sub.next_seq++;
-    notification.alert = alert;
-    sub.staged.push_back(std::move(notification));
+    if (!shared) shared = std::make_shared<const core::Alert>(alert);
+    merge_scratch_.push_back(Holder{id, sub.staged.size()});
+    sub.staged.push_back(Entry{sub.next_seq++, 0, shared});
   }
+  merge_scratch_.insert(merge_scratch_.end(),
+                        holders.begin() + static_cast<std::ptrdiff_t>(h),
+                        holders.end());
+  holders.swap(merge_scratch_);
 }
 
 void Dispatcher::tick() {
@@ -142,13 +181,17 @@ void Dispatcher::tick() {
       if (!sub.active) continue;  // unsubscribed mid-tick; already cleared
       metrics.enqueued.add(static_cast<std::uint64_t>(sub.staged.size()));
       pending_total_ += sub.staged.size();
-      for (Notification& staged : sub.staged)
-        sub.queue.push_back(std::move(staged));
+      // Drop-oldest over queue ++ staged, evicting before appending so the
+      // ring never grows past the bound.
+      const std::size_t total = sub.queue.size() + sub.staged.size();
+      const std::size_t excess =
+          total > config_.max_pending ? total - config_.max_pending : 0;
+      const std::size_t from_queue = std::min(excess, sub.queue.size());
+      sub.queue.pop_front(from_queue);
+      for (std::size_t i = excess - from_queue; i < sub.staged.size(); ++i)
+        sub.queue.push_back(std::move(sub.staged[i]));
       sub.staged.clear();
-      if (sub.queue.size() > config_.max_pending) {
-        const std::size_t excess = sub.queue.size() - config_.max_pending;
-        sub.queue.erase(sub.queue.begin(),
-                        sub.queue.begin() + static_cast<std::ptrdiff_t>(excess));
+      if (excess > 0) {
         sub.dropped += excess;
         pending_total_ -= excess;
         metrics.dropped.add(static_cast<std::uint64_t>(excess));
@@ -156,6 +199,8 @@ void Dispatcher::tick() {
     }
     flushed = !dirty_.empty();
     dirty_.clear();
+    open_buckets_.clear();
+    open_count_ = 0;
     metrics.pending.set(static_cast<std::int64_t>(pending_total_));
   }
   if (flushed) data_ready_.notify_all();
@@ -171,7 +216,7 @@ std::optional<FetchResult> Dispatcher::fetch(SubscriptionId id,
   Subscription* sub = find_locked(id);
   if (sub == nullptr) return std::nullopt;
   const auto has_delta = [](const Subscription& s, std::uint64_t after) {
-    return !s.queue.empty() && s.queue.back().seq > after;
+    return !s.queue.empty() && s.queue.at(s.queue.size() - 1).seq > after;
   };
   if (wait_ms > 0 && !has_delta(*sub, cursor)) {
     data_ready_.wait_for(lock, std::chrono::milliseconds(wait_ms),
@@ -185,14 +230,23 @@ std::optional<FetchResult> Dispatcher::fetch(SubscriptionId id,
   FetchResult result;
   result.next_cursor = cursor;
   result.dropped = sub->dropped;
-  for (const Notification& notification : sub->queue) {
-    if (notification.seq <= cursor) continue;
-    if (max_items != 0 && result.notifications.size() >= max_items) {
-      ++result.pending;
-      continue;
-    }
-    result.notifications.push_back(notification);
+  // Seqs are contiguous, so the first entry past the cursor sits at
+  // cursor - front.seq + 1, clamped to the queue.
+  const Queue& queue = sub->queue;
+  std::size_t start = 0;
+  if (!queue.empty() && cursor >= queue.at(0).seq)
+    start = static_cast<std::size_t>(
+        std::min<std::uint64_t>(cursor - queue.at(0).seq + 1, queue.size()));
+  const std::size_t available = queue.size() - start;
+  const std::size_t take =
+      max_items == 0 ? available : std::min(available, max_items);
+  result.notifications.reserve(take);
+  for (std::size_t i = start; i < start + take; ++i) {
+    const Entry& entry = queue.at(i);
+    result.notifications.push_back(
+        Notification{entry.seq, entry.coalesced, *entry.alert});
   }
+  result.pending = available - take;
   if (!result.notifications.empty())
     result.next_cursor = result.notifications.back().seq;
   metrics.delivered.add(

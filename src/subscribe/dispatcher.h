@@ -13,6 +13,13 @@
 //   tick() ─▶ per-subscription queue (drop-oldest at the bound) ─▶
 //   fetch(cursor) long-poll
 //
+// Each dispatched alert is stored once: staged and queued entries hold
+// {seq, coalesced, shared handle to the immutable alert}, and fetch()
+// builds the public Notification from the handle. Queue seqs are
+// contiguous (folds consume no seq and drops come off the front), so
+// fetch seeks straight to the first entry past the cursor, and the queue
+// is a ring buffer, so drop-oldest costs only the evicted entries.
+//
 // Contracts:
 //  * Deterministic notification order — alerts dispatch in arrival order
 //    and each alert stages its matches in ascending subscription-id order,
@@ -21,9 +28,12 @@
 //    dispatched history returns identical bytes every time.
 //  * Coalescing — within one tick, alerts for the same victim (same kind +
 //    target; same kind + day for victimless spikes) fold into one staged
-//    notification whose `coalesced` counts the folds. Deltas are thereby
-//    deduplicated per tick, the batching the paper's near-realtime §9
-//    loop needs at millions of events.
+//    notification whose `coalesced` counts the folds. A per-tick hash
+//    maps each bucket to the subscriptions holding a staged entry for it,
+//    in ascending id order, so an alert costs one probe plus a merge with
+//    its (ascending) matches — no scan of staged entries. Deltas are
+//    thereby deduplicated per tick, the batching the paper's
+//    near-realtime §9 loop needs at millions of events.
 //  * Drop policy — queues are bounded (DispatcherConfig::max_pending);
 //    overflow evicts the OLDEST notification and counts it in both the
 //    per-subscription `dropped` (surfaced in FetchResult) and the
@@ -33,6 +43,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <vector>
@@ -42,6 +53,7 @@
 #include "core/event.h"
 #include "meta/geo.h"
 #include "meta/pfx2as.h"
+#include "subscribe/flat_map.h"
 #include "subscribe/index.h"
 #include "subscribe/subscription.h"
 
@@ -120,13 +132,55 @@ class Dispatcher final : public core::AlertSink {
   std::uint64_t alerts_dispatched() const;
 
  private:
+  /// A staged or queued delta; the alert is shared by every subscription
+  /// it was delivered to.
+  struct Entry {
+    std::uint64_t seq = 0;
+    std::uint32_t coalesced = 0;
+    std::shared_ptr<const core::Alert> alert;
+  };
+
+  /// FIFO of flushed entries over a circular buffer of power-of-two
+  /// capacity: push_back and pop_front never move the surviving entries,
+  /// and at(i) is the i-th oldest.
+  class Queue {
+   public:
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    const Entry& at(std::size_t i) const {
+      return slots_[(head_ + i) & (slots_.size() - 1)];
+    }
+    void push_back(Entry entry);
+    void pop_front(std::size_t count);
+    /// Empties the queue and releases its storage.
+    void clear();
+
+   private:
+    std::vector<Entry> slots_;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
+  };
+
   struct Subscription {
     Predicate predicate;
     bool active = false;
-    std::vector<Notification> queue;   // flushed, ascending seq
-    std::vector<Notification> staged;  // open tick, pre-flush
+    Queue queue;                // flushed, contiguous ascending seqs
+    std::vector<Entry> staged;  // open tick, pre-flush
     std::uint64_t next_seq = 1;
     std::uint64_t dropped = 0;
+  };
+
+  /// A subscription holding a staged entry for some bucket, and where in
+  /// its staged list that entry sits.
+  struct Holder {
+    SubscriptionId id = 0;
+    std::size_t staged_index = 0;
+  };
+  struct BucketHash {
+    std::size_t operator()(std::uint64_t bucket) const {
+      // The high half of the product mixes every bit of the bucket.
+      return static_cast<std::size_t>((bucket * 0xff51afd7ed558ccdull) >> 32);
+    }
   };
 
   void dispatch_locked(const core::Alert& alert);
@@ -140,6 +194,13 @@ class Dispatcher final : public core::AlertSink {
   std::vector<Subscription> subs_;  // index = id - 1; slots never reused
   SubscriptionIndex index_;
   std::vector<SubscriptionId> dirty_;  // staged-nonempty subs this tick
+  // Open tick's coalescing buckets -> index into holders_, whose list holds
+  // (ascending id) every subscription with a staged entry for the bucket.
+  // Reset by tick(); the lists keep their capacity for the next tick.
+  FlatMap<std::uint64_t, std::size_t, BucketHash> open_buckets_;
+  std::vector<std::vector<Holder>> holders_;  // first open_count_ in use
+  std::size_t open_count_ = 0;
+  std::vector<Holder> merge_scratch_;
   std::vector<SubscriptionId> match_scratch_;
   std::size_t active_count_ = 0;
   std::uint64_t pending_total_ = 0;

@@ -1,33 +1,21 @@
 #include "subscribe/index.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <string>
 
 namespace dosm::subscribe {
 namespace {
 
-/// Network key for a /24 posting: the enclosing /24's network address.
-constexpr std::uint32_t slash24_key(std::uint32_t addr) {
-  return addr & 0xffffff00u;
-}
-
-template <typename Map, typename Key>
-void probe(const Map& map, Key key, std::vector<SubscriptionId>& out) {
-  const auto it = map.find(key);
-  if (it != map.end())
-    out.insert(out.end(), it->second.begin(), it->second.end());
-}
-
-template <typename Map, typename Key>
-bool erase_from(Map& map, Key key, SubscriptionId id) {
-  const auto it = map.find(key);
-  if (it == map.end()) return false;
-  auto& list = it->second;
-  const auto pos = std::lower_bound(list.begin(), list.end(), id);
-  if (pos == list.end() || *pos != id) return false;
-  list.erase(pos);
-  if (list.empty()) map.erase(it);
+template <typename Map>
+bool erase_from(Map& map, std::uint64_t key, SubscriptionId id) {
+  auto* const list = map.find(key);
+  if (list == nullptr) return false;
+  const auto pos = std::lower_bound(list->begin(), list->end(), id);
+  if (pos == list->end() || *pos != id) return false;
+  list->erase(pos);
+  if (list->empty()) map.erase(key);
   return true;
 }
 
@@ -35,15 +23,15 @@ bool erase_from(Map& map, Key key, SubscriptionId id) {
 
 SubscriptionIndex::Slot SubscriptionIndex::slot_for(
     const Predicate& predicate) {
-  // Most selective indexable field wins; unindexable predicates (prefixes
-  // wider than /24 with no other field, or the firehose) go to the scan
-  // list, which every alert pays for — kept small by construction.
-  if (predicate.prefix && predicate.prefix->length() == 32)
-    return Slot::kTarget;
-  if (predicate.prefix && predicate.prefix->length() >= 24)
-    return Slot::kSlash24;
+  // Most selective indexable field wins. A prefix shorter than /24 covers
+  // more victims than an ASN or country but far fewer than a protocol or
+  // kind posting; only the firehose has nothing to index and goes to the
+  // scan list, which every alert pays for.
+  const bool long_prefix = predicate.prefix && predicate.prefix->length() >= 24;
+  if (long_prefix) return Slot::kPrefix;
   if (predicate.asn) return Slot::kAsn;
   if (predicate.country) return Slot::kCountry;
+  if (predicate.prefix) return Slot::kPrefix;
   if (predicate.ip_proto) return Slot::kProto;
   if (predicate.kind) return Slot::kKind;
   return Slot::kScan;
@@ -56,6 +44,12 @@ std::uint16_t SubscriptionIndex::pack_country(meta::CountryCode country) {
       static_cast<unsigned char>(s[1]));
 }
 
+std::uint64_t SubscriptionIndex::prefix_key(int length, std::uint32_t addr) {
+  const std::uint32_t mask =
+      length == 0 ? 0u : ~std::uint32_t{0} << (32 - length);
+  return (static_cast<std::uint64_t>(length) << 32) | (addr & mask);
+}
+
 void SubscriptionIndex::insert(SubscriptionId id, const Predicate& predicate) {
   validate(predicate);
   if (id <= last_id_)
@@ -64,24 +58,28 @@ void SubscriptionIndex::insert(SubscriptionId id, const Predicate& predicate) {
         std::to_string(id) + " after " + std::to_string(last_id_));
   last_id_ = id;
   switch (slot_for(predicate)) {
-    case Slot::kTarget:
-      by_target_[predicate.prefix->network().value()].push_back(id);
+    case Slot::kPrefix: {
+      const int length = predicate.prefix->length();
+      by_prefix_
+          .try_emplace(prefix_key(length, predicate.prefix->network().value()))
+          .first->push_back(id);
+      ++prefix_count_[static_cast<std::size_t>(length)];
+      prefix_lengths_ |= std::uint64_t{1} << length;
       break;
-    case Slot::kSlash24:
-      by_slash24_[slash24_key(predicate.prefix->network().value())].push_back(
-          id);
-      break;
+    }
     case Slot::kAsn:
-      by_asn_[*predicate.asn].push_back(id);
+      by_asn_.try_emplace(*predicate.asn).first->push_back(id);
       break;
     case Slot::kCountry:
-      by_country_[pack_country(*predicate.country)].push_back(id);
+      by_country_.try_emplace(pack_country(*predicate.country))
+          .first->push_back(id);
       break;
     case Slot::kProto:
-      by_proto_[*predicate.ip_proto].push_back(id);
+      by_proto_.try_emplace(*predicate.ip_proto).first->push_back(id);
       break;
     case Slot::kKind:
-      by_kind_[static_cast<std::uint8_t>(*predicate.kind)].push_back(id);
+      by_kind_.try_emplace(static_cast<std::uint8_t>(*predicate.kind))
+          .first->push_back(id);
       break;
     case Slot::kScan:
       scan_.push_back(id);
@@ -93,13 +91,15 @@ void SubscriptionIndex::insert(SubscriptionId id, const Predicate& predicate) {
 bool SubscriptionIndex::erase(SubscriptionId id, const Predicate& predicate) {
   bool erased = false;
   switch (slot_for(predicate)) {
-    case Slot::kTarget:
-      erased = erase_from(by_target_, predicate.prefix->network().value(), id);
+    case Slot::kPrefix: {
+      const int length = predicate.prefix->length();
+      erased = erase_from(
+          by_prefix_, prefix_key(length, predicate.prefix->network().value()),
+          id);
+      if (erased && --prefix_count_[static_cast<std::size_t>(length)] == 0)
+        prefix_lengths_ &= ~(std::uint64_t{1} << length);
       break;
-    case Slot::kSlash24:
-      erased = erase_from(by_slash24_,
-                          slash24_key(predicate.prefix->network().value()), id);
-      break;
+    }
     case Slot::kAsn:
       erased = erase_from(by_asn_, *predicate.asn, id);
       break;
@@ -115,10 +115,8 @@ bool SubscriptionIndex::erase(SubscriptionId id, const Predicate& predicate) {
       break;
     case Slot::kScan: {
       const auto pos = std::lower_bound(scan_.begin(), scan_.end(), id);
-      if (pos != scan_.end() && *pos == id) {
-        scan_.erase(pos);
-        erased = true;
-      }
+      erased = pos != scan_.end() && *pos == id;
+      if (erased) scan_.erase(pos);
       break;
     }
   }
@@ -126,26 +124,28 @@ bool SubscriptionIndex::erase(SubscriptionId id, const Predicate& predicate) {
   return erased;
 }
 
-void SubscriptionIndex::collect(const core::Alert& alert,
-                                std::vector<SubscriptionId>& out) const {
+SubscriptionIndex::Runs SubscriptionIndex::collect(
+    const core::Alert& alert) const {
+  Runs runs;
+  const auto add = [&runs](const Postings& list) {
+    if (!list.empty())
+      runs.runs[runs.count++] = {list.data(), list.data() + list.size()};
+  };
+  const auto probe = [&add](const PostingMap& map, std::uint64_t key) {
+    if (const Postings* list = map.find(key)) add(*list);
+  };
   if (alert.has_event) {
     const std::uint32_t target = alert.event.target.value();
-    probe(by_target_, target, out);
-    probe(by_slash24_, slash24_key(target), out);
-    probe(by_asn_, static_cast<std::uint32_t>(alert.asn), out);
-    probe(by_country_, pack_country(alert.country), out);
-    probe(by_proto_, alert.event.ip_proto, out);
+    for (std::uint64_t lengths = prefix_lengths_; lengths != 0;
+         lengths &= lengths - 1)
+      probe(by_prefix_, prefix_key(std::countr_zero(lengths), target));
+    probe(by_asn_, static_cast<std::uint32_t>(alert.asn));
+    probe(by_country_, pack_country(alert.country));
+    probe(by_proto_, alert.event.ip_proto);
   }
-  probe(by_kind_, static_cast<std::uint8_t>(alert.kind), out);
-  out.insert(out.end(), scan_.begin(), scan_.end());
-}
-
-void SubscriptionIndex::merge_ascending(std::vector<SubscriptionId>& out,
-                                        std::size_t first) {
-  // out[first..) is a concatenation of at most seven ascending, pairwise
-  // disjoint runs (one per posting family probed); a plain sort restores
-  // the global ascending order without needing a dedup pass.
-  std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end());
+  probe(by_kind_, static_cast<std::uint8_t>(alert.kind));
+  add(scan_);
+  return runs;
 }
 
 }  // namespace dosm::subscribe

@@ -1,7 +1,7 @@
 // Subscription predicates: what a watcher wants to hear about.
 //
 // ROADMAP item 5: consumers stop polling /query and instead register
-// interest — a victim prefix (/32 down to /8), an origin ASN, a country,
+// interest — a victim prefix (/32 down to /0), an origin ASN, a country,
 // an IP protocol, an alert kind, or any conjunction of those — and the
 // streaming pipeline pushes matching alerts to them. A predicate is a
 // conjunction: every set field must match for the alert to be delivered.

@@ -1,16 +1,19 @@
 // The subscription layer, bottom to top: predicate semantics and canonical
-// text, the posting-index vs scan-all-oracle property suite (exact match
-// sets AND delivery order, under churn), and the Dispatcher contracts —
-// coalescing, drop policy, cursor determinism, long-poll wake.
+// text, the FlatMap behind the postings, the posting-index vs
+// scan-all-oracle property suite (exact match sets AND delivery order,
+// under churn), and the Dispatcher contracts — coalescing, drop policy,
+// cursor fetch against a linear reference, long-poll wake.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/alert.h"
 #include "subscribe/dispatcher.h"
+#include "subscribe/flat_map.h"
 #include "subscribe/index.h"
 #include "subscribe/oracle.h"
 #include "subscribe/subscription.h"
@@ -106,6 +109,55 @@ TEST(PredicateTest, ValidateRejectsUnsetCountry) {
 }
 
 // ---------------------------------------------------------------------------
+// FlatMap vs std::unordered_map.
+// ---------------------------------------------------------------------------
+
+/// Deliberately weak: neighbouring keys share a home slot near the end of
+/// the table, so clusters form, wrap around, and erase has to shift them
+/// back.
+struct ClusteringHash {
+  std::size_t operator()(std::uint64_t key) const {
+    return static_cast<std::size_t>(key / 4) - 32;
+  }
+};
+
+TEST(FlatMapTest, AgreesWithUnorderedMapUnderChurn) {
+  Rng rng(0xf1a7u);
+  FlatMap<std::uint64_t, int, ClusteringHash> flat;
+  std::unordered_map<std::uint64_t, int> model;
+  constexpr std::uint64_t kKeys = 96;
+  for (int step = 0; step < 20000; ++step) {
+    const std::uint64_t key = rng.next_below(kKeys);
+    const auto op = rng.next_below(100);
+    if (op < 50) {
+      const int value = step;
+      const auto [slot, inserted] = flat.try_emplace(key, value);
+      const auto [it, model_inserted] = model.try_emplace(key, value);
+      ASSERT_EQ(inserted, model_inserted) << "step " << step;
+      ASSERT_EQ(*slot, it->second) << "step " << step;
+      ++*slot;
+      ++it->second;
+    } else if (op < 95) {
+      ASSERT_EQ(flat.erase(key), model.erase(key) == 1) << "step " << step;
+    } else if (op < 96) {
+      flat.clear();
+      model.clear();
+    }
+    ASSERT_EQ(flat.size(), model.size()) << "step " << step;
+    if (step % 97 == 0) {
+      for (std::uint64_t k = 0; k < kKeys; ++k) {
+        const int* found = flat.find(k);
+        const auto it = model.find(k);
+        ASSERT_EQ(found != nullptr, it != model.end()) << "key " << k;
+        if (found != nullptr) {
+          EXPECT_EQ(*found, it->second) << "key " << k;
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Index vs oracle property suite.
 // ---------------------------------------------------------------------------
 
@@ -117,29 +169,50 @@ TEST(SubscriptionIndexTest, InsertionMustBeMonotone) {
   EXPECT_THROW(index.insert(3, Predicate{}), std::invalid_argument);
 }
 
-TEST(SubscriptionIndexTest, ShortPrefixesAndFirehoseLandOnTheScanList) {
+TEST(SubscriptionIndexTest, OnlyTheFirehoseLandsOnTheScanList) {
   SubscriptionIndex index;
   index.insert(1, Predicate{});  // firehose
   index.insert(2, Predicate{}.match_prefix(net::Prefix::parse("10.0.0.0/8")));
   index.insert(3, Predicate{}.match_prefix(net::Prefix::parse("10.0.0.0/24")));
   index.insert(4, Predicate{}.match_prefix(net::Prefix::parse("10.0.0.1/32")));
-  EXPECT_EQ(index.scan_list_size(), 2u);
-  EXPECT_EQ(index.size(), 4u);
+  index.insert(5, Predicate{}.match_prefix(net::Prefix::parse("0.0.0.0/0")));
+  index.insert(6, Predicate{}
+                      .match_prefix(net::Prefix::parse("10.0.0.0/16"))
+                      .match_kind(core::AlertKind::kNewAttack));
+  index.insert(7, Predicate{}.match_kind(core::AlertKind::kAttackSpike));
+  EXPECT_EQ(index.scan_list_size(), 1u);
+  EXPECT_EQ(index.size(), 7u);
+
+  // Short prefixes are posting hits: an alert under 10.0.0.0/8 but outside
+  // the /16 draws only the /8 and /0 watchers (and the firehose).
+  std::vector<SubscriptionId> candidates;
+  index.collect_candidates(alert_on("10.9.9.9"), candidates);
+  EXPECT_EQ(candidates, (std::vector<SubscriptionId>{1, 2, 5}));
 }
 
 /// Pools deliberately small so predicates and alerts collide often — the
-/// interesting cases are shared /24s, shared ASNs, shared kinds.
-const char* kAddrPool[] = {"10.0.0.1",   "10.0.0.2",  "10.0.1.1",
-                           "10.0.1.9",   "10.7.0.1",  "172.16.0.4",
-                           "192.0.2.55", "192.0.2.56"};
-const char* kPrefixPool[] = {"10.0.0.0/8",    "10.0.0.0/16",  "10.0.0.0/24",
-                             "10.0.1.0/24",   "10.0.0.1/32",  "10.0.1.1/32",
-                             "192.0.2.0/24",  "192.0.2.55/32"};
+/// interesting cases are shared /24s, shared ASNs, shared kinds, and
+/// addresses nested under prefixes of every length from /32 to /0.
+const char* kAddrPool[] = {"10.0.0.1",   "10.0.0.2",   "10.0.1.1",
+                           "10.0.1.9",   "10.7.0.1",   "172.16.0.4",
+                           "192.0.2.55", "192.0.2.56", "10.0.15.3",
+                           "10.0.16.1",  "10.12.0.1",  "10.200.3.4",
+                           "172.20.1.1", "8.8.8.8"};
+const char* kPrefixPool[] = {"10.0.0.0/8",     "10.0.0.0/16",   "10.0.0.0/24",
+                             "10.0.1.0/24",    "10.0.0.1/32",   "10.0.1.1/32",
+                             "192.0.2.0/24",   "192.0.2.55/32", "10.0.0.0/20",
+                             "10.0.16.0/20",   "10.0.0.0/12",   "172.16.0.0/12",
+                             "192.0.0.0/16",   "0.0.0.0/0"};
+
+template <std::size_t N>
+const char* pick(Rng& rng, const char* const (&pool)[N]) {
+  return pool[rng.next_below(N)];
+}
 
 Predicate random_predicate(Rng& rng) {
   Predicate p;
   if (rng.bernoulli(0.5))
-    p.match_prefix(net::Prefix::parse(kPrefixPool[rng.next_below(8)]));
+    p.match_prefix(net::Prefix::parse(pick(rng, kPrefixPool)));
   if (rng.bernoulli(0.25))
     p.match_asn(meta::Asn{static_cast<meta::Asn>(65001 + rng.next_below(3))});
   if (rng.bernoulli(0.2))
@@ -164,7 +237,7 @@ core::Alert random_alert(Rng& rng) {
       rng.bernoulli(0.3) ? meta::CountryCode{}
                          : meta::CountryCode(rng.bernoulli(0.5) ? "US" : "DE");
   return core::event_alert(
-      event_on(kAddrPool[rng.next_below(8)], rng.uniform(0.0, 1e6),
+      event_on(pick(rng, kAddrPool), rng.uniform(0.0, 1e6),
                rng.bernoulli(0.5) ? 6 : 17),
       static_cast<int>(rng.next_below(30)), asn, country);
 }
@@ -346,6 +419,160 @@ TEST(DispatcherTest, CursorFetchIsDeterministicAndPaged) {
   ASSERT_TRUE(drained.has_value());
   EXPECT_TRUE(drained->notifications.empty());
   EXPECT_EQ(drained->next_cursor, 3u);
+}
+
+/// Reference model of one subscription's delivery: stage with a linear
+/// same-victim scan, flush at tick, evict the oldest past the bound.
+struct ModelQueue {
+  std::vector<Notification> queue;
+  std::vector<Notification> staged;
+  std::uint64_t next_seq = 1;
+  std::uint64_t dropped = 0;
+
+  static bool same_bucket(const core::Alert& a, const core::Alert& b) {
+    if (a.kind != b.kind || a.has_event != b.has_event) return false;
+    return a.has_event ? a.event.target == b.event.target : a.day == b.day;
+  }
+  void stage(const core::Alert& alert) {
+    for (Notification& n : staged) {
+      if (same_bucket(n.alert, alert)) {
+        ++n.coalesced;
+        return;
+      }
+    }
+    staged.push_back(Notification{next_seq++, 0, alert});
+  }
+  void tick(std::size_t max_pending) {
+    queue.insert(queue.end(), staged.begin(), staged.end());
+    staged.clear();
+    if (queue.size() > max_pending) {
+      const std::size_t excess = queue.size() - max_pending;
+      queue.erase(queue.begin(),
+                  queue.begin() + static_cast<std::ptrdiff_t>(excess));
+      dropped += excess;
+    }
+  }
+  /// The linear filter fetch() must agree with.
+  FetchResult fetch(std::uint64_t cursor, std::size_t max_items) const {
+    FetchResult result;
+    result.next_cursor = cursor;
+    result.dropped = dropped;
+    for (const Notification& n : queue) {
+      if (n.seq <= cursor) continue;
+      if (max_items != 0 && result.notifications.size() >= max_items) {
+        ++result.pending;
+        continue;
+      }
+      result.notifications.push_back(n);
+      result.next_cursor = n.seq;
+    }
+    return result;
+  }
+};
+
+void expect_same_fetch(const FetchResult& got, const FetchResult& want,
+                       const std::string& where) {
+  EXPECT_EQ(got.next_cursor, want.next_cursor) << where;
+  EXPECT_EQ(got.pending, want.pending) << where;
+  EXPECT_EQ(got.dropped, want.dropped) << where;
+  ASSERT_EQ(got.notifications.size(), want.notifications.size()) << where;
+  for (std::size_t i = 0; i < got.notifications.size(); ++i) {
+    const Notification& g = got.notifications[i];
+    const Notification& w = want.notifications[i];
+    EXPECT_EQ(g.seq, w.seq) << where;
+    EXPECT_EQ(g.coalesced, w.coalesced) << where;
+    EXPECT_EQ(g.alert.kind, w.alert.kind) << where;
+    EXPECT_EQ(g.alert.day, w.alert.day) << where;
+    EXPECT_EQ(g.alert.has_event, w.alert.has_event) << where;
+    EXPECT_EQ(g.alert.event.target, w.alert.event.target) << where;
+    EXPECT_EQ(g.alert.event.start, w.alert.event.start) << where;
+    EXPECT_EQ(g.alert.value, w.alert.value) << where;
+  }
+}
+
+TEST(DispatcherTest, FetchAndCoalescingMatchALinearReference) {
+  for (const std::size_t max_pending : {std::size_t{1}, std::size_t{3},
+                                        std::size_t{16}}) {
+    Rng rng(0xfe7c + max_pending);
+    DispatcherConfig config;
+    config.max_pending = max_pending;
+    Dispatcher dispatcher(config);
+    const std::vector<Predicate> predicates = {
+        Predicate{},
+        Predicate{}.match_prefix(net::Prefix::parse("10.0.0.0/16")),
+        Predicate{}.match_kind(core::AlertKind::kAttackSpike)};
+    std::vector<ModelQueue> models(predicates.size());
+    for (const Predicate& p : predicates) dispatcher.subscribe(p);
+
+    // Few victims and spike days per tick, so folds are frequent, and more
+    // new victims per run than the largest bound, so drops are forced.
+    for (int tick = 0; tick < 24; ++tick) {
+      const auto alerts = rng.next_below(9);
+      for (std::uint64_t i = 0; i < alerts; ++i) {
+        core::Alert alert;
+        if (rng.bernoulli(0.3)) {
+          alert = core::spike_alert(core::AlertKind::kAttackSpike,
+                                    static_cast<int>(rng.next_below(3)),
+                                    rng.uniform(10.0, 500.0), 25.0);
+        } else {
+          const std::string victim =
+              (rng.bernoulli(0.7) ? "10.0.0." : "10.1.0.") +
+              std::to_string(1 + rng.next_below(6));
+          alert = core::event_alert(event_on(victim, rng.uniform(0.0, 1e6)),
+                                    tick, meta::kUnknownAsn, {});
+        }
+        dispatcher.on_alert(alert);
+        for (std::size_t s = 0; s < predicates.size(); ++s)
+          if (predicates[s].matches(alert)) models[s].stage(alert);
+      }
+      dispatcher.tick();
+      for (ModelQueue& model : models) model.tick(max_pending);
+    }
+
+    for (std::size_t s = 0; s < predicates.size(); ++s) {
+      const ModelQueue& model = models[s];
+      EXPECT_GT(model.dropped, 0u) << "max_pending=" << max_pending;
+      const SubscriptionId id = s + 1;
+      for (std::uint64_t cursor = 0; cursor <= model.next_seq + 1; ++cursor) {
+        for (const std::size_t max_items :
+             {std::size_t{0}, std::size_t{1}, std::size_t{5}}) {
+          const auto got = dispatcher.fetch(id, cursor, max_items);
+          ASSERT_TRUE(got.has_value());
+          expect_same_fetch(*got, model.fetch(cursor, max_items),
+                            "max_pending=" + std::to_string(max_pending) +
+                                " sub=" + std::to_string(id) +
+                                " cursor=" + std::to_string(cursor) +
+                                " max_items=" + std::to_string(max_items));
+        }
+      }
+    }
+  }
+}
+
+TEST(DispatcherTest, UnsubscribeMidTickLeavesNoBucketToFoldInto) {
+  Dispatcher dispatcher;
+  const SubscriptionId old_id = dispatcher.subscribe(Predicate{});
+  dispatcher.ingest(event_on("10.1.1.1", 100.0));
+  dispatcher.ingest(event_on("10.1.1.1", 110.0));  // folds into old_id's
+  EXPECT_TRUE(dispatcher.unsubscribe(old_id));
+  const SubscriptionId new_id = dispatcher.subscribe(Predicate{});
+  dispatcher.ingest(event_on("10.1.1.1", 200.0));  // opens a fresh bucket
+  dispatcher.ingest(event_on("10.1.1.1", 210.0));  // folds into it
+  dispatcher.ingest(event_on("10.2.2.2", 220.0));
+  dispatcher.tick();
+
+  EXPECT_FALSE(dispatcher.fetch(old_id, 0, 0).has_value());
+  const auto result = dispatcher.fetch(new_id, 0, 0);
+  ASSERT_TRUE(result.has_value());
+  ASSERT_EQ(result->notifications.size(), 2u);
+  EXPECT_EQ(result->notifications[0].seq, 1u);
+  EXPECT_EQ(result->notifications[0].coalesced, 1u);
+  EXPECT_EQ(result->notifications[0].alert.event.start, 200.0);
+  EXPECT_EQ(result->notifications[1].seq, 2u);
+  EXPECT_EQ(result->notifications[1].coalesced, 0u);
+  EXPECT_EQ(result->notifications[1].alert.event.target.to_string(),
+            "10.2.2.2");
+  EXPECT_EQ(result->dropped, 0u);
 }
 
 TEST(DispatcherTest, LongPollWakesOnTickAndOnUnsubscribe) {

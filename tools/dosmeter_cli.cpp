@@ -349,7 +349,7 @@ constexpr std::string_view kDetectHelp =
     "  --pcap F        replay a pcap capture through the batched ingest\n"
     "                  front end (src/ingest) instead of the synthetic\n"
     "                  workload; telescope detection only\n"
-    "  --batch-frames N   frames per ingest batch (default 512)\n"
+    "  --batch-frames N   frames per ingest batch (default 4096)\n"
     "  --ring-capacity N  ingest ring capacity in batches (default 8)\n"
     "  --ring-policy P    block|drop on a full ring (default block;\n"
     "                     drop trades determinism for capture latency)\n"
