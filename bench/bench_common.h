@@ -19,6 +19,7 @@
 
 #include "common/strings.h"
 #include "common/table.h"
+#include "query/snapshot.h"
 #include "sim/scenario.h"
 
 namespace dosm::bench {
@@ -40,6 +41,17 @@ inline const sim::World& shared_world() {
     return w;
   }();
   return *world;
+}
+
+/// The query snapshot over the shared world (built once): the executor the
+/// counting rollups (Table 1, Figures 1 and 5, Table 4) run on.
+inline const query::Snapshot& shared_snapshot() {
+  static const auto snapshot = [] {
+    const auto& world = shared_world();
+    return query::Snapshot::from_store(
+        world.store, {world.population.pfx2as(), world.population.geo()});
+  }();
+  return *snapshot;
 }
 
 /// Prints the standard bench header.

@@ -1,5 +1,7 @@
 // §4 joint attacks — targets hit by both randomly-spoofed and reflection
 // attacks simultaneously, with the paper's distribution shifts.
+#include <map>
+
 #include "bench_common.h"
 #include "core/joint.h"
 #include "core/ports.h"
@@ -14,13 +16,11 @@ int main() {
 
   const auto& world = bench::shared_world();
   const core::JointAttackAnalysis joint(world.store);
-  const auto& pfx2as = world.population.pfx2as();
-  const auto combined =
-      world.store.summarize(core::SourceFilter::kCombined, pfx2as);
+  const auto all_targets =
+      bench::shared_snapshot().unique_targets(query::Query{});
 
   std::cout << "common targets: " << joint.common_targets() << " ("
-            << percent(double(joint.common_targets()) /
-                           double(combined.unique_targets),
+            << percent(double(joint.common_targets()) / double(all_targets),
                        1)
             << " of all targets; paper 282k/6.34M = 4.4%)\n";
   std::cout << "joint (simultaneous) targets: " << joint.joint_targets() << " ("
@@ -73,7 +73,7 @@ int main() {
   // Joint-target AS & country rankings.
   std::cout << "\nTop joint-target ASes (paper: OVH 12.3%, China Telecom "
                "5.4%, China Unicom 3.1%):\n";
-  const auto asns = joint.asn_ranking(pfx2as);
+  const auto asns = joint.asn_ranking(world.population.pfx2as());
   for (std::size_t i = 0; i < std::min<std::size_t>(3, asns.size()); ++i) {
     std::cout << "  " << (i + 1) << ". "
               << world.population.as_registry().name(asns[i].asn) << "  "

@@ -5,12 +5,12 @@
 
 namespace {
 
-void print_ranking(const dosm::core::EventStore& store,
+void print_ranking(const dosm::query::Snapshot& snapshot,
                    dosm::core::SourceFilter filter,
-                   const dosm::meta::GeoDatabase& geo,
                    const std::vector<std::pair<const char*, double>>& paper) {
   using namespace dosm;
-  const auto ranking = store.country_ranking(filter, geo);
+  const auto ranking =
+      snapshot.country_ranking(query::Query{}.from_source(filter));
   TextTable table({"rank", "country", "#targets", "share", "paper"});
   for (std::size_t i = 0; i < std::min<std::size_t>(5, ranking.size()); ++i) {
     const std::string paper_cell =
@@ -43,11 +43,10 @@ int main() {
                       "DE 4.20%; honeypot: US 29.50%, CN 9.96%, FR 7.73%, GB "
                       "6.37%, DE 5.18%");
 
-  const auto& world = bench::shared_world();
-  const auto& geo = world.population.geo();
+  const auto& snapshot = bench::shared_snapshot();
 
   std::cout << "\n(a) Telescope (randomly spoofed attacks)\n";
-  print_ranking(world.store, core::SourceFilter::kTelescope, geo,
+  print_ranking(snapshot, core::SourceFilter::kTelescope,
                 {{"US", 0.2556},
                  {"China", 0.1047},
                  {"Russia", 0.0572},
@@ -55,7 +54,7 @@ int main() {
                  {"Germany", 0.0420}});
 
   std::cout << "\n(b) Honeypot (reflection attacks)\n";
-  print_ranking(world.store, core::SourceFilter::kHoneypot, geo,
+  print_ranking(snapshot, core::SourceFilter::kHoneypot,
                 {{"US", 0.2950},
                  {"China", 0.0996},
                  {"France", 0.0773},

@@ -1,4 +1,6 @@
 // Table 5 — IP protocol distribution of randomly-spoofed attacks.
+#include <map>
+
 #include "bench_common.h"
 #include "core/ports.h"
 

@@ -1,4 +1,6 @@
 // Table 6 — reflection protocol distribution of honeypot attack events.
+#include <map>
+
 #include "bench_common.h"
 #include "core/ports.h"
 

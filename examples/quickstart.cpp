@@ -8,6 +8,7 @@
 #include "common/strings.h"
 #include "core/joint.h"
 #include "core/ports.h"
+#include "query/snapshot.h"
 #include "sim/scenario.h"
 
 int main(int argc, char** argv) {
@@ -24,25 +25,30 @@ int main(int argc, char** argv) {
             << world->dns.num_domains() << " Web domains, "
             << world->hosting.hosters().size() << " hosters\n";
 
-  // Table-1 style summary of what the detectors saw.
-  const auto& pfx2as = world->population.pfx2as();
+  // Table-1 style summary of what the detectors saw, from the query
+  // snapshot every rollup runs on.
+  const auto snapshot = query::Snapshot::from_store(
+      world->store, {world->population.pfx2as(), world->population.geo()});
+  using enum query::DistinctKey;
   for (const auto filter :
        {core::SourceFilter::kTelescope, core::SourceFilter::kHoneypot,
         core::SourceFilter::kCombined}) {
-    const auto summary = world->store.summarize(filter, pfx2as);
-    std::cout << "  " << core::to_string(filter) << ": " << summary.events
-              << " events, " << summary.unique_targets << " targets, "
-              << summary.unique_slash24 << " /24s, " << summary.unique_slash16
-              << " /16s, " << summary.unique_asns << " ASNs\n";
+    const auto q = query::Query{}.from_source(filter);
+    std::cout << "  " << core::to_string(filter) << ": " << snapshot->count(q)
+              << " events, " << snapshot->distinct(q, kTarget) << " targets, "
+              << snapshot->distinct(q, kSlash24) << " /24s, "
+              << snapshot->distinct(q, kSlash16) << " /16s, "
+              << snapshot->distinct(q, kAsn) << " ASNs\n";
   }
 
   // Daily view of the busiest day.
-  const auto breakdown =
-      world->store.daily_breakdown(core::SourceFilter::kCombined, pfx2as);
-  const int busiest = breakdown.attacks.argmax();
+  const auto attacks = snapshot->daily_attacks(query::Query{});
+  const auto targets =
+      query::daily_distinct(*snapshot, query::Query{}, kTarget);
+  const int busiest = attacks.argmax();
   std::cout << "\nBusiest day: " << to_string(world->window.date_of_day(busiest))
-            << " with " << breakdown.attacks.at(busiest) << " attacks on "
-            << breakdown.unique_targets.at(busiest) << " targets\n";
+            << " with " << attacks.at(busiest) << " attacks on "
+            << targets.at(busiest) << " targets\n";
 
   // Joint attacks.
   const core::JointAttackAnalysis joint(world->store);

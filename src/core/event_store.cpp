@@ -1,10 +1,7 @@
 #include "core/event_store.h"
 
 #include <algorithm>
-#include <cmath>
-#include <set>
 #include <stdexcept>
-#include <unordered_set>
 
 namespace dosm::core {
 
@@ -97,84 +94,6 @@ std::vector<net::Ipv4Addr> EventStore::targets(SourceFilter filter) const {
     }
   }
   std::sort(out.begin(), out.end());
-  return out;
-}
-
-DatasetSummary EventStore::summarize(SourceFilter filter,
-                                     const meta::PrefixToAsMap& pfx2as) const {
-  DatasetSummary summary;
-  std::unordered_set<std::uint32_t> targets, slash24, slash16;
-  std::unordered_set<meta::Asn> asns;
-  for (const auto& event : events_) {
-    if (!matches(filter, event.source)) continue;
-    ++summary.events;
-    targets.insert(event.target.value());
-    slash24.insert(event.target.slash24().value());
-    slash16.insert(event.target.slash16().value());
-    const auto asn = pfx2as.origin(event.target);
-    if (asn != meta::kUnknownAsn) asns.insert(asn);
-  }
-  summary.unique_targets = targets.size();
-  summary.unique_slash24 = slash24.size();
-  summary.unique_slash16 = slash16.size();
-  summary.unique_asns = asns.size();
-  return summary;
-}
-
-DailyBreakdown EventStore::daily_breakdown(SourceFilter filter,
-                                           const meta::PrefixToAsMap& pfx2as,
-                                           bool medium_or_higher_only) const {
-  require_finalized("daily_breakdown");
-  const int days = window_.num_days();
-  DailyBreakdown breakdown(days);
-  std::vector<std::unordered_set<std::uint32_t>> targets(
-      static_cast<std::size_t>(days));
-  std::vector<std::unordered_set<std::uint32_t>> slash16(
-      static_cast<std::size_t>(days));
-  std::vector<std::unordered_set<meta::Asn>> asns(static_cast<std::size_t>(days));
-
-  for (const auto& event : events_) {
-    if (!matches(filter, event.source)) continue;
-    if (medium_or_higher_only && !is_medium_or_higher(event)) continue;
-    const auto t = static_cast<UnixSeconds>(event.start);
-    if (!window_.contains(t)) continue;
-    const int day = window_.day_of(t);
-    breakdown.attacks.add(day, 1.0);
-    const auto d = static_cast<std::size_t>(day);
-    targets[d].insert(event.target.value());
-    slash16[d].insert(event.target.slash16().value());
-    const auto asn = pfx2as.origin(event.target);
-    if (asn != meta::kUnknownAsn) asns[d].insert(asn);
-  }
-  for (int d = 0; d < days; ++d) {
-    const auto i = static_cast<std::size_t>(d);
-    breakdown.unique_targets.set(d, static_cast<double>(targets[i].size()));
-    breakdown.targeted_slash16.set(d, static_cast<double>(slash16[i].size()));
-    breakdown.targeted_asns.set(d, static_cast<double>(asns[i].size()));
-  }
-  return breakdown;
-}
-
-std::vector<CountryCount> EventStore::country_ranking(
-    SourceFilter filter, const meta::GeoDatabase& geo) const {
-  require_finalized("country_ranking");
-  std::map<meta::CountryCode, std::uint64_t> counts;
-  std::uint64_t total = 0;
-  for (const auto& target : targets(filter)) {
-    ++counts[geo.locate(target)];
-    ++total;
-  }
-  std::vector<CountryCount> out;
-  out.reserve(counts.size());
-  for (const auto& [country, count] : counts) {
-    out.push_back({country, count,
-                   total ? static_cast<double>(count) / static_cast<double>(total)
-                         : 0.0});
-  }
-  std::sort(out.begin(), out.end(), [](const CountryCount& a, const CountryCount& b) {
-    if (a.targets != b.targets) return a.targets > b.targets;
-    return a.country < b.country;
-  });
   return out;
 }
 

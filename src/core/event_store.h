@@ -1,16 +1,15 @@
-// The EventStore: the fused attack-event dataset with the rollups the
-// paper's tables and figures are computed from.
+// The EventStore: the fused attack-event dataset the per-target analyses
+// walk.
 //
-// Holds all events from both sources over a study window, indexed by target
-// and by day. Provides Table-1 summaries (events / unique targets / /24s /
-// /16s / ASNs), Figure-1/5 daily series, Table-4 country rankings,
-// Table-5/6/7/8 distributions, and the per-source intensity normalization
-// used by Table 9 and Figure 10.
+// Holds all events from both sources over a study window, indexed by
+// target. Provides per-target event lists (impact, joint attacks), the
+// Figure-2/3/4 distributions, and the per-source intensity normalization
+// and mean used by Table 9 and Figures 5 and 10. The counting rollups
+// (Table 1, the Figure-1/5 daily series, the Table-4 country ranking) are
+// not here: they run on the query executor, query::Snapshot.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -20,7 +19,6 @@
 #include "common/time.h"
 #include "core/event.h"
 #include "meta/geo.h"
-#include "meta/pfx2as.h"
 
 namespace dosm::core {
 
@@ -29,29 +27,6 @@ enum class SourceFilter : std::uint8_t { kTelescope, kHoneypot, kCombined };
 
 bool matches(SourceFilter filter, EventSource source);
 std::string to_string(SourceFilter filter);
-
-/// Table-1 row.
-struct DatasetSummary {
-  std::uint64_t events = 0;
-  std::uint64_t unique_targets = 0;
-  std::uint64_t unique_slash24 = 0;
-  std::uint64_t unique_slash16 = 0;
-  std::uint64_t unique_asns = 0;
-};
-
-/// Figure-1 panel: per-day counts.
-struct DailyBreakdown {
-  DailySeries attacks;
-  DailySeries unique_targets;
-  DailySeries targeted_slash16;
-  DailySeries targeted_asns;
-
-  explicit DailyBreakdown(int num_days)
-      : attacks(num_days),
-        unique_targets(num_days),
-        targeted_slash16(num_days),
-        targeted_asns(num_days) {}
-};
 
 /// Table-4 row.
 struct CountryCount {
@@ -81,22 +56,6 @@ class EventStore {
 
   /// All distinct targets (requires finalize()).
   std::vector<net::Ipv4Addr> targets(SourceFilter filter) const;
-
-  /// Table 1 row for a source selection.
-  DatasetSummary summarize(SourceFilter filter,
-                           const meta::PrefixToAsMap& pfx2as) const;
-
-  /// Figure 1 / Figure 5 daily series. An event counts toward the day its
-  /// start falls on (the paper's convention for multi-day attacks, §5 fn.
-  /// 15). With `medium_or_higher_only`, only events whose raw intensity
-  /// reaches their source dataset's mean count (the Figure-5 selection).
-  DailyBreakdown daily_breakdown(SourceFilter filter,
-                                 const meta::PrefixToAsMap& pfx2as,
-                                 bool medium_or_higher_only = false) const;
-
-  /// Table 4: unique targets per country, descending, with shares.
-  std::vector<CountryCount> country_ranking(SourceFilter filter,
-                                            const meta::GeoDatabase& geo) const;
 
   /// Normalized intensity of an event: its raw intensity divided by the
   /// maximum of its source dataset (linear, not log-scaled), in [0, 1]

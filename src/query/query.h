@@ -16,9 +16,11 @@
 //                  rows carry port 0)
 //   min_intensity  raw intensity >= threshold (per-source scale, §4)
 //
-// Aggregations: count, unique targets, per-day series, top-k victims, top-k
-// ASNs, country ranking (Table 4). Rankings order by unique targets
+// Aggregations: count, distinct targets / /24s / /16s / ASNs (Table 1; per
+// day, Figure 1), per-day attack series (Figures 1 and 5), top-k victims,
+// top-k ASNs, country ranking (Table 4). Rankings order by unique targets
 // descending with ascending key tie-breaks so results are deterministic.
+// These executors are the only implementation of the paper's rollups.
 #pragma once
 
 #include <cstdint>
@@ -89,6 +91,11 @@ struct Query {
 
 /// Human-readable filter list, e.g. for --explain output.
 std::string to_string(const Query& query);
+
+/// What Snapshot::distinct counts: the target address, its /24 or /16
+/// network, or its origin AS. Unannounced space (kUnknownAsn) is not an
+/// AS, so the ASN key skips it, as the Table-1 rollup and top_asns do.
+enum class DistinctKey : std::uint8_t { kTarget, kSlash24, kSlash16, kAsn };
 
 /// Top-k entry for per-victim rankings (ordered by events desc, addr asc).
 struct TargetCount {

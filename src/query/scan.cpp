@@ -36,11 +36,23 @@ std::uint64_t ScanOracle::count(const Query& query) const {
   return n;
 }
 
-std::uint64_t ScanOracle::unique_targets(const Query& query) const {
-  std::unordered_set<std::uint32_t> targets;
-  for (const auto& event : events_)
-    if (matches(query, event)) targets.insert(event.target.value());
-  return targets.size();
+std::uint64_t ScanOracle::distinct(const Query& query, DistinctKey key) const {
+  std::unordered_set<std::uint32_t> seen;
+  for (const auto& event : events_) {
+    if (!matches(query, event)) continue;
+    const net::Ipv4Addr target = event.target;
+    switch (key) {
+      case DistinctKey::kTarget: seen.insert(target.value()); break;
+      case DistinctKey::kSlash24: seen.insert(target.slash24().value()); break;
+      case DistinctKey::kSlash16: seen.insert(target.slash16().value()); break;
+      case DistinctKey::kAsn: {
+        const meta::Asn asn = pfx2as_->origin(target);
+        if (asn != meta::kUnknownAsn) seen.insert(asn);
+        break;
+      }
+    }
+  }
+  return seen.size();
 }
 
 DailySeries ScanOracle::daily_attacks(const Query& query) const {
@@ -97,8 +109,7 @@ std::vector<AsnCount> ScanOracle::top_asns(const Query& query,
 
 std::vector<core::CountryCount> ScanOracle::country_ranking(
     const Query& query) const {
-  // Count each matching target once, in its geolocated country — the
-  // Table-4 semantics of EventStore::country_ranking.
+  // Count each matching target once, in its geolocated country (Table 4).
   std::unordered_set<std::uint32_t> seen;
   std::map<meta::CountryCode, std::uint64_t> counts;
   std::uint64_t total = 0;

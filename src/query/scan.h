@@ -4,8 +4,7 @@
 // property tests compare every aggregation pairwise) and the baseline the
 // query bench measures speedups against. It deliberately shares no code
 // with the columnar path: each aggregation walks the full event span,
-// re-deriving ASN and country per event with live metadata lookups, the
-// way the batch analyses in core/ do today.
+// re-deriving ASN and country per event with live metadata lookups.
 #pragma once
 
 #include <cstdint>
@@ -26,9 +25,10 @@ class ScanOracle {
   bool matches(const Query& query, const core::AttackEvent& event) const;
 
   std::uint64_t count(const Query& query) const;
-  std::uint64_t unique_targets(const Query& query) const;
-  /// Attacks per window day (events starting outside the window are
-  /// dropped, as in EventStore::daily_breakdown).
+  /// Also the twin of Snapshot::unique_targets (key kTarget).
+  std::uint64_t distinct(const Query& query, DistinctKey key) const;
+  /// Attacks per window day, counted on the day the event starts; events
+  /// starting outside the window are dropped.
   DailySeries daily_attacks(const Query& query) const;
   std::vector<TargetCount> top_targets(const Query& query, std::size_t k) const;
   std::vector<AsnCount> top_asns(const Query& query, std::size_t k) const;

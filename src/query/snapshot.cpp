@@ -434,13 +434,31 @@ std::uint64_t Snapshot::count(const Query& query,
   return n;
 }
 
+std::uint64_t Snapshot::distinct(const Query& query, DistinctKey key,
+                                 const ExecBudget& budget) const {
+  // The key is resolved once per query: the per-row callback is an ASN
+  // column read or a masked target, never a switch.
+  std::unordered_set<std::uint32_t> seen;
+  if (key == DistinctKey::kAsn) {
+    for_each_match(query, budget, [&](const EventFrame& frame,
+                                      std::uint32_t row, std::uint32_t) {
+      if (frame.asn()[row] != meta::kUnknownAsn) seen.insert(frame.asn()[row]);
+    });
+  } else {
+    const std::uint32_t mask = key == DistinctKey::kSlash24   ? 0xffffff00u
+                               : key == DistinctKey::kSlash16 ? 0xffff0000u
+                                                              : 0xffffffffu;
+    for_each_match(query, budget, [&](const EventFrame& frame,
+                                      std::uint32_t row, std::uint32_t) {
+      seen.insert(frame.target()[row] & mask);
+    });
+  }
+  return seen.size();
+}
+
 std::uint64_t Snapshot::unique_targets(const Query& query,
                                        const ExecBudget& budget) const {
-  std::unordered_set<std::uint32_t> targets;
-  for_each_match(query, budget,
-                 [&](const EventFrame& frame, std::uint32_t row,
-                     std::uint32_t) { targets.insert(frame.target()[row]); });
-  return targets.size();
+  return distinct(query, DistinctKey::kTarget, budget);
 }
 
 DailySeries Snapshot::daily_attacks(const Query& query,
@@ -500,9 +518,9 @@ std::vector<AsnCount> Snapshot::top_asns(const Query& query, std::size_t k,
 std::vector<core::CountryCount> Snapshot::country_ranking(
     const Query& query, const ExecBudget& budget) const {
   // Packed codes order exactly like CountryCode (both compare the two ASCII
-  // letters lexicographically), so sorting on the packed key reproduces the
-  // EventStore tie-break. The first-seen dedup walks global row order, so
-  // it is granularity-independent.
+  // letters lexicographically), so sorting on the packed key gives the
+  // ascending-country tie-break. The first-seen dedup walks global row
+  // order, so it is granularity-independent.
   std::unordered_set<std::uint32_t> seen;
   std::unordered_map<PackedCountry, std::uint64_t> counts;
   std::uint64_t total = 0;
@@ -545,6 +563,18 @@ std::vector<std::uint32_t> Snapshot::match_rows(const Query& query,
                  });
   std::sort(rows.begin(), rows.end());
   return rows;
+}
+
+DailySeries daily_distinct(const Snapshot& snapshot, Query query,
+                           DistinctKey key) {
+  const StudyWindow& window = snapshot.window();
+  DailySeries series(window.num_days());
+  for (int d = 0; d < series.num_days(); ++d) {
+    query.between(static_cast<double>(window.day_start(d)),
+                  static_cast<double>(window.day_start(d + 1)));
+    series.set(d, static_cast<double>(snapshot.distinct(query, key)));
+  }
+  return series;
 }
 
 }  // namespace dosm::query

@@ -109,19 +109,22 @@ class Snapshot {
   // Blowing the row budget is deterministic for a given (snapshot, query);
   // both budget kinds surface as BudgetExceeded (see query/budget.h).
   std::uint64_t count(const Query& query, const ExecBudget& budget = {}) const;
+  /// Distinct values of `key` over the matching rows (Table 1's #targets,
+  /// #/24s, #/16s and #ASNs columns).
+  std::uint64_t distinct(const Query& query, DistinctKey key,
+                         const ExecBudget& budget = {}) const;
   std::uint64_t unique_targets(const Query& query,
                                const ExecBudget& budget = {}) const;
-  /// Attacks per window day (events starting outside the window are
-  /// dropped, as in EventStore::daily_breakdown).
+  /// Attacks per window day, counted on the day the event starts (§5 fn.
+  /// 15); events starting outside the window are dropped.
   DailySeries daily_attacks(const Query& query,
                             const ExecBudget& budget = {}) const;
   std::vector<TargetCount> top_targets(const Query& query, std::size_t k,
                                        const ExecBudget& budget = {}) const;
   std::vector<AsnCount> top_asns(const Query& query, std::size_t k,
                                  const ExecBudget& budget = {}) const;
-  /// Table-4 semantics: unique matching targets per country, descending,
-  /// with shares. Identical output to EventStore::country_ranking for the
-  /// same source filter (regression-tested byte-for-byte).
+  /// Table 4: unique matching targets per country, descending, with shares
+  /// of the matching target population.
   std::vector<core::CountryCount> country_ranking(
       const Query& query, const ExecBudget& budget = {}) const;
   std::vector<core::CountryCount> top_countries(
@@ -177,5 +180,13 @@ class Snapshot {
   std::size_t total_rows_ = 0;
   std::uint64_t version_ = 0;
 };
+
+/// Distinct values of `key` per window day (Figure 1's targets, /16s and
+/// ASNs per day): one Snapshot::distinct per day over [day_start(d),
+/// day_start(d + 1)), keeping the query's other filters and replacing its
+/// time range. Exact, because the frame's day column floors each start the
+/// same way, so day d's rows are exactly the rows that range selects.
+DailySeries daily_distinct(const Snapshot& snapshot, Query query,
+                           DistinctKey key);
 
 }  // namespace dosm::query

@@ -276,10 +276,10 @@ void encode_double_block(ByteWriter& out, std::span<const double> block) {
   std::uint8_t tag = kRaw64;
   if (scale >= 0) {
     best.u8(static_cast<std::uint8_t>(scale));
+    const double factor = kScales[static_cast<std::size_t>(scale)];
     std::int64_t prev = 0;
     for (const double v : block) {
-      const auto cur =
-          static_cast<std::int64_t>(std::llrint(v * kScales[scale]));
+      const auto cur = static_cast<std::int64_t>(std::llrint(v * factor));
       best.varint(zigzag_encode(cur - prev));
       prev = cur;
     }

@@ -1,7 +1,10 @@
-// EventStore tests: fusion, summaries, daily series, normalization.
+// EventStore tests: fusion, normalization, and hand-computed rollup fixtures
+// (Table 1, Figs. 1/5, Table 4) run on the query executor and its oracle.
 #include <gtest/gtest.h>
 
 #include "core/event_store.h"
+#include "query/scan.h"
+#include "query/snapshot.h"
 
 namespace dosm::core {
 namespace {
@@ -46,11 +49,22 @@ class EventStoreTest : public ::testing::Test {
     geo_.add(net::Prefix::parse("20.0.0.0/8"), meta::CountryCode("CN"));
   }
 
+  /// Runs `check` on a query::Snapshot of the store, then on the
+  /// query::ScanOracle: both executors must give the hand-computed answers.
+  template <typename Check>
+  void on_both(const EventStore& store, Check check) const {
+    check(*query::Snapshot::from_store(store, {pfx2as_, geo_}));
+    check(query::ScanOracle(store.events(), window_, pfx2as_, geo_));
+  }
+
   StudyWindow window_{};
   double t0_;
   meta::PrefixToAsMap pfx2as_;
   meta::GeoDatabase geo_;
 };
+
+using query::DistinctKey;
+using query::Query;
 
 TEST_F(EventStoreTest, LiftsSourceEventsCorrectly) {
   telescope::TelescopeEvent te;
@@ -83,7 +97,7 @@ TEST_F(EventStoreTest, LiftsSourceEventsCorrectly) {
   EXPECT_EQ(lifted2.reflection, amppot::ReflectionProtocol::kSsdp);
 }
 
-TEST_F(EventStoreTest, SummarizeCountsRollups) {
+TEST_F(EventStoreTest, DistinctCountsTable1Rollups) {
   EventStore store(window_);
   store.add(telescope_event(Ipv4Addr(10, 0, 0, 1), t0_ + 100, 120, 1.0));
   store.add(telescope_event(Ipv4Addr(10, 0, 0, 2), t0_ + 200, 120, 1.0));
@@ -92,17 +106,20 @@ TEST_F(EventStoreTest, SummarizeCountsRollups) {
   store.add(honeypot_event(Ipv4Addr(10, 0, 0, 1), t0_ + 500, 300, 50.0));
   store.finalize();
 
-  const auto combined = store.summarize(SourceFilter::kCombined, pfx2as_);
-  EXPECT_EQ(combined.events, 5u);
-  EXPECT_EQ(combined.unique_targets, 4u);
-  EXPECT_EQ(combined.unique_slash24, 3u);  // 10.0.0/24, 10.0.1/24, 20.0.0/24
-  EXPECT_EQ(combined.unique_slash16, 2u);
-  EXPECT_EQ(combined.unique_asns, 2u);
+  on_both(store, [](const auto& exec) {
+    const Query combined;
+    EXPECT_EQ(exec.count(combined), 5u);
+    EXPECT_EQ(exec.distinct(combined, DistinctKey::kTarget), 4u);
+    // 10.0.0/24, 10.0.1/24, 20.0.0/24
+    EXPECT_EQ(exec.distinct(combined, DistinctKey::kSlash24), 3u);
+    EXPECT_EQ(exec.distinct(combined, DistinctKey::kSlash16), 2u);
+    EXPECT_EQ(exec.distinct(combined, DistinctKey::kAsn), 2u);
 
-  const auto telescope = store.summarize(SourceFilter::kTelescope, pfx2as_);
-  EXPECT_EQ(telescope.events, 3u);
-  EXPECT_EQ(telescope.unique_targets, 3u);
-  EXPECT_EQ(telescope.unique_asns, 1u);
+    const auto telescope = Query{}.from_source(SourceFilter::kTelescope);
+    EXPECT_EQ(exec.count(telescope), 3u);
+    EXPECT_EQ(exec.distinct(telescope, DistinctKey::kTarget), 3u);
+    EXPECT_EQ(exec.distinct(telescope, DistinctKey::kAsn), 1u);
+  });
 }
 
 TEST_F(EventStoreTest, EventsForTargetAreTimeOrdered) {
@@ -131,7 +148,7 @@ TEST_F(EventStoreTest, RequiresFinalize) {
   EXPECT_NO_THROW(store.targets(SourceFilter::kCombined));
 }
 
-TEST_F(EventStoreTest, DailyBreakdownPlacesEventsOnStartDay) {
+TEST_F(EventStoreTest, DailySeriesPlaceEventsOnStartDay) {
   EventStore store(window_);
   // Two events on day 0, one on day 1, one crossing midnight counts on day 0.
   store.add(telescope_event(Ipv4Addr(10, 0, 0, 1), t0_ + 1000, 60, 1.0));
@@ -139,23 +156,29 @@ TEST_F(EventStoreTest, DailyBreakdownPlacesEventsOnStartDay) {
   store.add(telescope_event(Ipv4Addr(10, 0, 0, 3), t0_ + 86000, 3600, 1.0));
   store.add(telescope_event(Ipv4Addr(10, 0, 0, 4), t0_ + 86400 + 100, 60, 1.0));
   store.finalize();
-  const auto breakdown = store.daily_breakdown(SourceFilter::kTelescope, pfx2as_);
-  EXPECT_DOUBLE_EQ(breakdown.attacks.at(0), 3.0);
-  EXPECT_DOUBLE_EQ(breakdown.attacks.at(1), 1.0);
-  EXPECT_DOUBLE_EQ(breakdown.unique_targets.at(0), 3.0);
-  EXPECT_DOUBLE_EQ(breakdown.targeted_slash16.at(0), 1.0);
-  EXPECT_DOUBLE_EQ(breakdown.targeted_asns.at(0), 1.0);
+  const auto telescope = Query{}.from_source(SourceFilter::kTelescope);
+  const auto day0 = Query(telescope).between(t0_, t0_ + 86400);
+  on_both(store, [&](const auto& exec) {
+    const auto attacks = exec.daily_attacks(telescope);
+    EXPECT_DOUBLE_EQ(attacks.at(0), 3.0);
+    EXPECT_DOUBLE_EQ(attacks.at(1), 1.0);
+    EXPECT_EQ(exec.distinct(day0, DistinctKey::kTarget), 3u);
+    EXPECT_EQ(exec.distinct(day0, DistinctKey::kSlash16), 1u);
+    EXPECT_EQ(exec.distinct(day0, DistinctKey::kAsn), 1u);
+  });
 }
 
-TEST_F(EventStoreTest, DailyBreakdownDeduplicatesTargets) {
+TEST_F(EventStoreTest, DailyDistinctDeduplicatesTargets) {
   EventStore store(window_);
   const Ipv4Addr target(10, 0, 0, 1);
   store.add(telescope_event(target, t0_ + 100, 60, 1.0));
   store.add(telescope_event(target, t0_ + 5000, 60, 1.0));
   store.finalize();
-  const auto breakdown = store.daily_breakdown(SourceFilter::kTelescope, pfx2as_);
-  EXPECT_DOUBLE_EQ(breakdown.attacks.at(0), 2.0);
-  EXPECT_DOUBLE_EQ(breakdown.unique_targets.at(0), 1.0);
+  const auto day0 = Query{}.between(t0_, t0_ + 86400);
+  on_both(store, [&](const auto& exec) {
+    EXPECT_DOUBLE_EQ(exec.daily_attacks(Query{}).at(0), 2.0);
+    EXPECT_EQ(exec.distinct(day0, DistinctKey::kTarget), 1u);
+  });
 }
 
 TEST_F(EventStoreTest, MediumIntensityFilterUsesSourceMean) {
@@ -168,9 +191,17 @@ TEST_F(EventStoreTest, MediumIntensityFilterUsesSourceMean) {
   store.add(honeypot_event(Ipv4Addr(20, 0, 0, 1), t0_ + 400, 100, 50.0));
   store.finalize();
   EXPECT_DOUBLE_EQ(store.mean_intensity(EventSource::kTelescope), 4.0);
-  const auto filtered =
-      store.daily_breakdown(SourceFilter::kCombined, pfx2as_, true);
-  EXPECT_DOUBLE_EQ(filtered.attacks.at(0), 2.0);  // the 10-pps + the honeypot
+  // Figure 5's medium+ count is one thresholded query per source, summed:
+  // here the 10-pps telescope event and the honeypot event.
+  const auto telescope = Query{}.from_source(SourceFilter::kTelescope).at_least(
+      store.mean_intensity(EventSource::kTelescope));
+  const auto honeypot = Query{}.from_source(SourceFilter::kHoneypot).at_least(
+      store.mean_intensity(EventSource::kHoneypot));
+  on_both(store, [&](const auto& exec) {
+    EXPECT_DOUBLE_EQ(exec.daily_attacks(telescope).at(0) +
+                         exec.daily_attacks(honeypot).at(0),
+                     2.0);
+  });
 }
 
 TEST_F(EventStoreTest, NormalizedIntensityIsLinearPerSource) {
@@ -192,11 +223,14 @@ TEST_F(EventStoreTest, CountryRankingOrdersByTargets) {
   store.add(telescope_event(Ipv4Addr(20, 0, 0, 1), t0_ + 100, 60, 1.0));
   store.add(telescope_event(Ipv4Addr(99, 0, 0, 1), t0_ + 100, 60, 1.0));
   store.finalize();
-  const auto ranking = store.country_ranking(SourceFilter::kTelescope, geo_);
-  ASSERT_EQ(ranking.size(), 3u);  // US, CN, ZZ (unknown)
-  EXPECT_EQ(ranking[0].country.to_string(), "US");
-  EXPECT_EQ(ranking[0].targets, 2u);
-  EXPECT_DOUBLE_EQ(ranking[0].share, 0.5);
+  on_both(store, [](const auto& exec) {
+    const auto ranking =
+        exec.country_ranking(Query{}.from_source(SourceFilter::kTelescope));
+    ASSERT_EQ(ranking.size(), 3u);  // US, CN, ZZ (unknown)
+    EXPECT_EQ(ranking[0].country.to_string(), "US");
+    EXPECT_EQ(ranking[0].targets, 2u);
+    EXPECT_DOUBLE_EQ(ranking[0].share, 0.5);
+  });
 }
 
 TEST_F(EventStoreTest, DistributionsSeparateBySource) {

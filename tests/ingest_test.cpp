@@ -399,7 +399,8 @@ std::string make_ethernet_pcap() {
   auto eth_frame = [](const std::vector<std::uint8_t>& ip,
                       std::vector<std::uint8_t> tags) {
     std::vector<std::uint8_t> frame(12, 0xaa);
-    frame.insert(frame.end(), tags.begin(), tags.end());
+    // Element-wise: GCC 12 -Warray-bounds misfires on a range insert here.
+    for (const std::uint8_t tag : tags) frame.push_back(tag);
     frame.push_back(0x08);
     frame.push_back(0x00);
     frame.insert(frame.end(), ip.begin(), ip.end());
@@ -423,8 +424,10 @@ std::string make_ethernet_pcap() {
   // Runt frame (shorter than an Ethernet header).
   writer.write_frame(104, 0, std::vector<std::uint8_t>(9, 0));
   // VLAN tag cut short (no room for the inner EtherType).
-  std::vector<std::uint8_t> cut_tag(12, 0xaa);
-  cut_tag.insert(cut_tag.end(), {0x81, 0x00, 0x00});
+  std::vector<std::uint8_t> cut_tag(15, 0xaa);
+  cut_tag[12] = 0x81;
+  cut_tag[13] = 0x00;
+  cut_tag[14] = 0x00;
   writer.write_frame(105, 0, cut_tag);
   return out.str();
 }

@@ -9,6 +9,7 @@
 #include "core/ports.h"
 #include "core/taxonomy.h"
 #include "dps/classifier.h"
+#include "query/snapshot.h"
 #include "sim/scenario.h"
 
 namespace dosm {
@@ -52,31 +53,36 @@ std::vector<dps::ProtectionTimeline>* IntegrationTest::timelines_ = nullptr;
 core::ImpactAnalysis* IntegrationTest::impact_ = nullptr;
 
 TEST_F(IntegrationTest, Table1ShapeHolds) {
-  const auto& pfx2as = world_->population.pfx2as();
-  const auto telescope =
-      world_->store.summarize(core::SourceFilter::kTelescope, pfx2as);
-  const auto honeypot =
-      world_->store.summarize(core::SourceFilter::kHoneypot, pfx2as);
-  ASSERT_GT(telescope.events, 1000u);
-  ASSERT_GT(honeypot.events, 1000u);
+  const auto snapshot = query::Snapshot::from_store(
+      world_->store, {world_->population.pfx2as(), world_->population.geo()});
+  using enum core::SourceFilter;
+  const auto telescope = query::Query{}.from_source(kTelescope);
+  const auto honeypot = query::Query{}.from_source(kHoneypot);
+  ASSERT_GT(snapshot->count(telescope), 1000u);
+  ASSERT_GT(snapshot->count(honeypot), 1000u);
   // The paper's key ratio: more follow-up per target in the telescope data.
-  const double ept_telescope =
-      double(telescope.events) / double(telescope.unique_targets);
-  const double ept_honeypot =
-      double(honeypot.events) / double(honeypot.unique_targets);
-  EXPECT_GT(ept_telescope, ept_honeypot * 0.85);
+  const auto events_per_target = [&](const query::Query& q) {
+    return double(snapshot->count(q)) / double(snapshot->unique_targets(q));
+  };
+  EXPECT_GT(events_per_target(telescope), events_per_target(honeypot) * 0.85);
 }
 
 TEST_F(IntegrationTest, Figure1DailySeriesAreDense) {
-  const auto breakdown = world_->store.daily_breakdown(
-      core::SourceFilter::kCombined, world_->population.pfx2as());
+  const auto snapshot = query::Snapshot::from_store(
+      world_->store, {world_->population.pfx2as(), world_->population.geo()});
+  const query::Query all;
+  const auto attacks = snapshot->daily_attacks(all);
+  const auto targets =
+      query::daily_distinct(*snapshot, all, query::DistinctKey::kTarget);
+  const auto asns =
+      query::daily_distinct(*snapshot, all, query::DistinctKey::kAsn);
   int days_with_attacks = 0;
-  for (int d = 0; d < breakdown.attacks.num_days(); ++d) {
-    if (breakdown.attacks.at(d) > 0) ++days_with_attacks;
-    EXPECT_LE(breakdown.unique_targets.at(d), breakdown.attacks.at(d));
-    EXPECT_LE(breakdown.targeted_asns.at(d), breakdown.unique_targets.at(d));
+  for (int d = 0; d < attacks.num_days(); ++d) {
+    if (attacks.at(d) > 0) ++days_with_attacks;
+    EXPECT_LE(targets.at(d), attacks.at(d));
+    EXPECT_LE(asns.at(d), targets.at(d));
   }
-  EXPECT_EQ(days_with_attacks, breakdown.attacks.num_days());
+  EXPECT_EQ(days_with_attacks, attacks.num_days());
 }
 
 TEST_F(IntegrationTest, Figure2DurationShape) {

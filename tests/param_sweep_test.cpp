@@ -9,6 +9,7 @@
 #include "amppot/honeypot.h"
 #include "common/rng.h"
 #include "core/event_store.h"
+#include "query/snapshot.h"
 
 namespace dosm {
 namespace {
@@ -127,7 +128,7 @@ INSTANTIATE_TEST_SUITE_P(Exponents, ZipfSweep,
                          ::testing::Values(0.5, 0.8, 1.0, 1.3));
 
 // ---------------------------------------------------------------------------
-// EventStore invariants under random event populations.
+// EventStore and query-rollup invariants under random event populations.
 class StoreInvariants : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(StoreInvariants, HoldForRandomPopulations) {
@@ -155,18 +156,25 @@ TEST_P(StoreInvariants, HoldForRandomPopulations) {
 
   meta::PrefixToAsMap pfx2as;
   pfx2as.announce(net::Prefix::parse("10.0.0.0/8"), 64500);
-  const auto telescope = store.summarize(core::SourceFilter::kTelescope, pfx2as);
-  const auto honeypot = store.summarize(core::SourceFilter::kHoneypot, pfx2as);
-  const auto combined = store.summarize(core::SourceFilter::kCombined, pfx2as);
+  const meta::GeoDatabase geo;
+  const auto snapshot = query::Snapshot::from_store(store, {pfx2as, geo});
+  using enum core::SourceFilter;
+  using enum query::DistinctKey;
+  const auto events = [&](core::SourceFilter filter) {
+    return snapshot->count(query::Query{}.from_source(filter));
+  };
+  const auto distinct = [&](core::SourceFilter filter,
+                            query::DistinctKey key = kTarget) {
+    return snapshot->distinct(query::Query{}.from_source(filter), key);
+  };
 
   // Event counts are additive; target sets sub-additive.
-  EXPECT_EQ(combined.events, telescope.events + honeypot.events);
-  EXPECT_LE(combined.unique_targets,
-            telescope.unique_targets + honeypot.unique_targets);
-  EXPECT_GE(combined.unique_targets,
-            std::max(telescope.unique_targets, honeypot.unique_targets));
-  EXPECT_LE(combined.unique_slash24, combined.unique_targets);
-  EXPECT_LE(combined.unique_slash16, combined.unique_slash24);
+  EXPECT_EQ(events(kCombined), events(kTelescope) + events(kHoneypot));
+  EXPECT_LE(distinct(kCombined), distinct(kTelescope) + distinct(kHoneypot));
+  EXPECT_GE(distinct(kCombined),
+            std::max(distinct(kTelescope), distinct(kHoneypot)));
+  EXPECT_LE(distinct(kCombined, kSlash24), distinct(kCombined));
+  EXPECT_LE(distinct(kCombined, kSlash16), distinct(kCombined, kSlash24));
 
   // Per-target index covers every event exactly once.
   std::size_t indexed = 0;
@@ -185,13 +193,16 @@ TEST_P(StoreInvariants, HoldForRandomPopulations) {
   EXPECT_DOUBLE_EQ(max_norm, 1.0);
 
   // Daily series totals match the event count (every event is in-window).
-  const auto breakdown =
-      store.daily_breakdown(core::SourceFilter::kCombined, pfx2as);
-  EXPECT_DOUBLE_EQ(breakdown.attacks.total(), static_cast<double>(store.size()));
-  // Medium+ is a subset.
-  const auto medium =
-      store.daily_breakdown(core::SourceFilter::kCombined, pfx2as, true);
-  EXPECT_LE(medium.attacks.total(), breakdown.attacks.total());
+  EXPECT_DOUBLE_EQ(snapshot->daily_attacks(query::Query{}).total(),
+                   static_cast<double>(store.size()));
+  // Medium+ (at or above the source's mean intensity) is a subset.
+  const auto medium = [&](core::SourceFilter filter, core::EventSource source) {
+    return snapshot->count(query::Query{}.from_source(filter).at_least(
+        store.mean_intensity(source)));
+  };
+  EXPECT_LE(medium(kTelescope, core::EventSource::kTelescope) +
+                medium(kHoneypot, core::EventSource::kHoneypot),
+            store.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StoreInvariants,

@@ -1,15 +1,13 @@
 // Query engine correctness: seeded property tests comparing the indexed
 // Snapshot against the ScanOracle (naive linear scan) for every filter /
-// aggregation combination, planner behaviour, and the Table-4 regression
-// (byte-identical to the legacy EventStore scan).
+// aggregation combination, and planner behaviour. Hand-computed rollup
+// fixtures live in event_store_test.cpp.
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
-#include "common/strings.h"
 #include "query/engine.h"
 #include "query/scan.h"
 #include "query/snapshot.h"
@@ -116,11 +114,18 @@ Query random_query(Rng& rng, const Scenario& s) {
   return q;
 }
 
+constexpr DistinctKey kDistinctKeys[] = {DistinctKey::kTarget,
+                                         DistinctKey::kSlash24,
+                                         DistinctKey::kSlash16,
+                                         DistinctKey::kAsn};
+
 void expect_equal_results(const Snapshot& snap, const ScanOracle& oracle,
                           const Query& q) {
   const std::string label = to_string(q);
   EXPECT_EQ(snap.count(q), oracle.count(q)) << label;
-  EXPECT_EQ(snap.unique_targets(q), oracle.unique_targets(q)) << label;
+  for (const auto key : kDistinctKeys)
+    EXPECT_EQ(snap.distinct(q, key), oracle.distinct(q, key))
+        << label << " key " << static_cast<int>(key);
 
   const auto snap_daily = snap.daily_attacks(q);
   const auto oracle_daily = oracle.daily_attacks(q);
@@ -159,6 +164,25 @@ TEST_P(QueryPropertyTest, SnapshotMatchesOracleOnRandomQueries) {
   Rng rng(GetParam() ^ 0x9e3779b9u);
   for (int i = 0; i < 60; ++i)
     expect_equal_results(*snap, oracle, random_query(rng, scenario));
+
+  // Per-day rollups (Figure 1): a one-day time range selects exactly the
+  // rows the day column places on that day (daily_attacks), so the per-day
+  // distinct counts built on it match the oracle's.
+  const auto attacks = snap->daily_attacks(Query{});
+  std::vector<DailySeries> daily;
+  for (const auto key : kDistinctKeys)
+    daily.push_back(daily_distinct(*snap, Query{}, key));
+  for (int d = 0; d < attacks.num_days(); ++d) {
+    const auto day =
+        Query{}.between(static_cast<double>(scenario.window.day_start(d)),
+                        static_cast<double>(scenario.window.day_start(d + 1)));
+    EXPECT_EQ(static_cast<double>(snap->count(day)), attacks.at(d)) << d;
+    EXPECT_EQ(static_cast<double>(oracle.count(day)), attacks.at(d)) << d;
+    for (std::size_t k = 0; k < daily.size(); ++k)
+      EXPECT_EQ(daily[k].at(d),
+                static_cast<double>(oracle.distinct(day, kDistinctKeys[k])))
+          << "key " << k << " day " << d;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, QueryPropertyTest,
@@ -289,71 +313,6 @@ TEST(QuerySnapshotTest, TimeRangeBoundariesAreHalfOpen) {
   const auto rows = snap->match_rows(q);
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(snap->start_at(rows[0]), day1);
-}
-
-TEST(QuerySnapshotTest, FromStoreMatchesEventStoreSummaries) {
-  const auto world = sim::build_world(sim::ScenarioConfig::small());
-  const auto& pfx2as = world->population.pfx2as();
-  const auto& geo = world->population.geo();
-  const auto snap =
-      Snapshot::from_store(world->store, BuildContext{pfx2as, geo});
-  ASSERT_EQ(snap->size(), world->store.size());
-
-  for (const auto filter : {SourceFilter::kTelescope, SourceFilter::kHoneypot,
-                            SourceFilter::kCombined}) {
-    const auto summary = world->store.summarize(filter, pfx2as);
-    Query q;
-    q.from_source(filter);
-    EXPECT_EQ(snap->count(q), summary.events);
-    EXPECT_EQ(snap->unique_targets(q), summary.unique_targets);
-  }
-
-  // The daily series agrees with the batch daily_breakdown.
-  const auto breakdown =
-      world->store.daily_breakdown(SourceFilter::kCombined, pfx2as);
-  const auto daily = snap->daily_attacks(Query{});
-  ASSERT_EQ(daily.num_days(), breakdown.attacks.num_days());
-  for (int d = 0; d < daily.num_days(); ++d)
-    EXPECT_DOUBLE_EQ(daily.at(d), breakdown.attacks.at(d)) << "day " << d;
-}
-
-// ---------------------------------------------------------------------------
-// Satellite regression: the Table-4 country ranking served by the query
-// engine must be byte-identical to the legacy EventStore linear scan.
-// ---------------------------------------------------------------------------
-
-std::string render_ranking(const std::vector<core::CountryCount>& ranking) {
-  std::ostringstream out;
-  for (const auto& row : ranking) {
-    out << row.country.to_string() << " " << row.targets << " "
-        << percent(row.share, 2) << "\n";
-  }
-  return out.str();
-}
-
-TEST(QueryTable4RegressionTest, CountryRankingIsByteIdenticalToLegacyScan) {
-  const auto world = sim::build_world(sim::ScenarioConfig::small());
-  const auto& geo = world->population.geo();
-  const auto snap = Snapshot::from_store(
-      world->store, BuildContext{world->population.pfx2as(), geo});
-
-  for (const auto filter : {SourceFilter::kTelescope, SourceFilter::kHoneypot,
-                            SourceFilter::kCombined}) {
-    const auto legacy = world->store.country_ranking(filter, geo);
-    Query q;
-    q.from_source(filter);
-    const auto served = snap->country_ranking(q);
-
-    ASSERT_EQ(served.size(), legacy.size()) << core::to_string(filter);
-    for (std::size_t i = 0; i < served.size(); ++i) {
-      EXPECT_EQ(served[i].country, legacy[i].country);
-      EXPECT_EQ(served[i].targets, legacy[i].targets);
-      // Exact double equality: same counts, same division.
-      EXPECT_EQ(served[i].share, legacy[i].share);
-    }
-    EXPECT_EQ(render_ranking(served), render_ranking(legacy))
-        << core::to_string(filter);
-  }
 }
 
 // ---------------------------------------------------------------------------

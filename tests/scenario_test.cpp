@@ -4,6 +4,7 @@
 
 #include "core/ports.h"
 #include "dps/classifier.h"
+#include "query/snapshot.h"
 #include "sim/scenario.h"
 
 namespace dosm {
@@ -45,24 +46,27 @@ TEST_F(ScenarioTest, EventsRespectDetectionThresholds) {
 }
 
 TEST_F(ScenarioTest, SummariesAreConsistent) {
-  const auto& pfx2as = world_->population.pfx2as();
-  const auto telescope =
-      world_->store.summarize(core::SourceFilter::kTelescope, pfx2as);
-  const auto honeypot =
-      world_->store.summarize(core::SourceFilter::kHoneypot, pfx2as);
-  const auto combined =
-      world_->store.summarize(core::SourceFilter::kCombined, pfx2as);
-  EXPECT_EQ(combined.events, telescope.events + honeypot.events);
+  const auto snapshot = query::Snapshot::from_store(
+      world_->store, {world_->population.pfx2as(), world_->population.geo()});
+  using enum core::SourceFilter;
+  using enum query::DistinctKey;
+  const auto events = [&](core::SourceFilter filter) {
+    return snapshot->count(query::Query{}.from_source(filter));
+  };
+  const auto distinct = [&](core::SourceFilter filter,
+                            query::DistinctKey key = kTarget) {
+    return snapshot->distinct(query::Query{}.from_source(filter), key);
+  };
+  EXPECT_EQ(events(kCombined), events(kTelescope) + events(kHoneypot));
   // Unique targets are sub-additive (overlap between datasets).
-  EXPECT_LE(combined.unique_targets,
-            telescope.unique_targets + honeypot.unique_targets);
-  EXPECT_GE(combined.unique_targets,
-            std::max(telescope.unique_targets, honeypot.unique_targets));
+  EXPECT_LE(distinct(kCombined), distinct(kTelescope) + distinct(kHoneypot));
+  EXPECT_GE(distinct(kCombined),
+            std::max(distinct(kTelescope), distinct(kHoneypot)));
   // Rollup hierarchy: targets >= /24s >= /16s >= ASNs is not guaranteed in
   // general, but targets >= /24s >= /16s is.
-  EXPECT_GE(combined.unique_targets, combined.unique_slash24);
-  EXPECT_GE(combined.unique_slash24, combined.unique_slash16);
-  EXPECT_GT(combined.unique_asns, 0u);
+  EXPECT_GE(distinct(kCombined), distinct(kCombined, kSlash24));
+  EXPECT_GE(distinct(kCombined, kSlash24), distinct(kCombined, kSlash16));
+  EXPECT_GT(distinct(kCombined, kAsn), 0u);
 }
 
 TEST_F(ScenarioTest, TcpDominatesSpoofedAttacks) {

@@ -30,27 +30,33 @@ AttackEvent sample_event(int i) {
   return event;
 }
 
+/// Expects `loaded` to equal `events` field by field, in order.
+void expect_same_events(std::span<const AttackEvent> loaded,
+                        std::span<const AttackEvent> events) {
+  ASSERT_EQ(loaded.size(), events.size());
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(loaded[i].source, events[i].source) << "event " << i;
+    EXPECT_EQ(loaded[i].target, events[i].target) << "event " << i;
+    EXPECT_DOUBLE_EQ(loaded[i].start, events[i].start) << "event " << i;
+    EXPECT_DOUBLE_EQ(loaded[i].end, events[i].end) << "event " << i;
+    EXPECT_DOUBLE_EQ(loaded[i].intensity, events[i].intensity) << "event " << i;
+    EXPECT_EQ(loaded[i].packets, events[i].packets) << "event " << i;
+    EXPECT_EQ(loaded[i].ip_proto, events[i].ip_proto) << "event " << i;
+    EXPECT_EQ(loaded[i].num_ports, events[i].num_ports) << "event " << i;
+    EXPECT_EQ(loaded[i].top_port, events[i].top_port) << "event " << i;
+    EXPECT_EQ(loaded[i].unique_sources, events[i].unique_sources)
+        << "event " << i;
+    EXPECT_EQ(loaded[i].reflection, events[i].reflection) << "event " << i;
+    EXPECT_EQ(loaded[i].honeypots, events[i].honeypots) << "event " << i;
+  }
+}
+
 TEST(Serialize, RoundTripPreservesEveryField) {
   std::vector<AttackEvent> events;
   for (int i = 0; i < 50; ++i) events.push_back(sample_event(i));
   std::stringstream stream(std::ios::in | std::ios::out | std::ios::binary);
   write_events(stream, events);
-  const auto loaded = read_events(stream);
-  ASSERT_EQ(loaded.size(), events.size());
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(loaded[i].source, events[i].source);
-    EXPECT_EQ(loaded[i].target, events[i].target);
-    EXPECT_DOUBLE_EQ(loaded[i].start, events[i].start);
-    EXPECT_DOUBLE_EQ(loaded[i].end, events[i].end);
-    EXPECT_DOUBLE_EQ(loaded[i].intensity, events[i].intensity);
-    EXPECT_EQ(loaded[i].packets, events[i].packets);
-    EXPECT_EQ(loaded[i].ip_proto, events[i].ip_proto);
-    EXPECT_EQ(loaded[i].num_ports, events[i].num_ports);
-    EXPECT_EQ(loaded[i].top_port, events[i].top_port);
-    EXPECT_EQ(loaded[i].unique_sources, events[i].unique_sources);
-    EXPECT_EQ(loaded[i].reflection, events[i].reflection);
-    EXPECT_EQ(loaded[i].honeypots, events[i].honeypots);
-  }
+  expect_same_events(read_events(stream), events);
 }
 
 TEST(Serialize, EmptyDumpRoundTrips) {
@@ -152,27 +158,19 @@ TEST(Serialize, LoadRejectsTrailingBytes) {
 }
 
 TEST(Serialize, FileRoundTripAndStagedReanalysis) {
-  // The staged-deployment use case: dump a world's detected events, reload
-  // them into a fresh EventStore, and get identical rollups.
+  // The staged-deployment use case: dump a world's detected events and
+  // reload them, event for event, into a fresh EventStore (so every
+  // analysis over the reloaded dataset agrees with the original).
   const auto world = sim::build_world(sim::ScenarioConfig::small());
   const std::string path = "/tmp/dosm_serialize_test.bin";
-  std::vector<AttackEvent> events(world->store.events().begin(),
-                                  world->store.events().end());
-  save_events(path, events);
+  save_events(path, world->store.events());
 
   const auto loaded = load_events(path);
+  expect_same_events(loaded, world->store.events());
   EventStore restored(world->window);
   for (const auto& event : loaded) restored.add(event);
   restored.finalize();
-
-  const auto& pfx2as = world->population.pfx2as();
-  const auto original =
-      world->store.summarize(SourceFilter::kCombined, pfx2as);
-  const auto reloaded = restored.summarize(SourceFilter::kCombined, pfx2as);
-  EXPECT_EQ(original.events, reloaded.events);
-  EXPECT_EQ(original.unique_targets, reloaded.unique_targets);
-  EXPECT_EQ(original.unique_slash24, reloaded.unique_slash24);
-  EXPECT_EQ(original.unique_asns, reloaded.unique_asns);
+  EXPECT_EQ(restored.size(), world->store.size());
   std::remove(path.c_str());
 }
 

@@ -783,7 +783,8 @@ TEST(ServeStressTest, ConcurrentClientsDuringPublishes) {
       };
       const int fd = connect_to(server.port());
       for (int i = 0; i < kRequestsPerClient; ++i) {
-        const std::string response = fetch(fd, mix[i % mix.size()]);
+        const std::string response =
+            fetch(fd, mix[static_cast<std::size_t>(i) % mix.size()]);
         if (status_of(response) != 200 ||
             body_of(response).find("\"snapshot_version\":") ==
                 std::string::npos)

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -62,10 +63,10 @@ std::string valid_archive() {
   const std::string path = scratch_path();
   write_archive(path, *snapshot);
   std::ifstream in(path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
   std::remove(path.c_str());
-  return bytes;
+  return bytes.str();
 }
 
 /// The property under test: open + full decode + zone clip must return

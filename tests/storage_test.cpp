@@ -115,8 +115,9 @@ std::vector<double> f64_round_trip(const std::vector<double>& values) {
 void expect_bit_identical(const std::vector<double>& a,
                           const std::vector<double>& b) {
   ASSERT_EQ(a.size(), b.size());
-  if (!a.empty())
+  if (!a.empty()) {
     EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0);
+  }
 }
 
 TEST(CodecTest, DoubleShapesRoundTripBitExactly) {
@@ -182,8 +183,9 @@ std::shared_ptr<const query::Snapshot> world_snapshot(
 template <typename T>
 void expect_column_identical(std::span<const T> a, std::span<const T> b) {
   ASSERT_EQ(a.size(), b.size());
-  if (!a.empty())
+  if (!a.empty()) {
     EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(T)), 0);
+  }
 }
 
 TEST(ArchiveTest, RoundTripIsBitIdentical) {
@@ -265,7 +267,10 @@ void expect_identical_answers(const query::Snapshot& expected,
                               const query::Snapshot& actual,
                               const query::Query& q, const char* label) {
   EXPECT_EQ(actual.count(q), expected.count(q)) << label;
-  EXPECT_EQ(actual.unique_targets(q), expected.unique_targets(q)) << label;
+  for (const auto key :
+       {query::DistinctKey::kTarget, query::DistinctKey::kSlash24,
+        query::DistinctKey::kSlash16, query::DistinctKey::kAsn})
+    EXPECT_EQ(actual.distinct(q, key), expected.distinct(q, key)) << label;
   const auto expected_daily = expected.daily_attacks(q);
   const auto actual_daily = actual.daily_attacks(q);
   ASSERT_EQ(actual_daily.num_days(), expected_daily.num_days()) << label;

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "core/streaming.h"
+#include "query/snapshot.h"
 #include "sim/scenario.h"
 
 namespace dosm::core {
@@ -231,8 +232,8 @@ TEST_F(StreamingTest, RejectsMinBaselineDaysOutsideRange) {
 }
 
 TEST_F(StreamingTest, MatchesBatchAggregationOnSimulatedWorld) {
-  // The streaming path must agree with the batch daily_breakdown on a
-  // real simulated event stream.
+  // The streaming path must agree with the query executor's per-day
+  // attack counts and distinct targets on a real simulated event stream.
   const auto world = sim::build_world(sim::ScenarioConfig::small());
   auto fusion = StreamingFusion(
       world->window, {},
@@ -240,16 +241,19 @@ TEST_F(StreamingTest, MatchesBatchAggregationOnSimulatedWorld) {
   for (const auto& event : world->store.events()) fusion.ingest(event);
   fusion.finish();
 
-  const auto batch = world->store.daily_breakdown(
-      SourceFilter::kCombined, world->population.pfx2as());
+  const auto snapshot = query::Snapshot::from_store(
+      world->store, {world->population.pfx2as(), world->population.geo()});
+  const auto attacks = snapshot->daily_attacks(query::Query{});
+  const auto targets = query::daily_distinct(*snapshot, query::Query{},
+                                             query::DistinctKey::kTarget);
   ASSERT_LE(summaries_.size(),
             static_cast<std::size_t>(world->window.num_days()));
   for (const auto& summary : summaries_) {
     EXPECT_DOUBLE_EQ(static_cast<double>(summary.attacks),
-                     batch.attacks.at(summary.day))
+                     attacks.at(summary.day))
         << "day " << summary.day;
     EXPECT_DOUBLE_EQ(static_cast<double>(summary.unique_targets),
-                     batch.unique_targets.at(summary.day));
+                     targets.at(summary.day));
   }
   // The campaign days should fire spike alerts on a full run with alerts.
   EXPECT_EQ(fusion.events_ingested(), world->store.size());

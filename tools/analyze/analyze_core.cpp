@@ -98,7 +98,8 @@ class Walker {
   void add(const char* rule, int line, std::string detail) {
     if (scan::allowed(allow_, rule, rel_)) return;
     if (line >= 1 && static_cast<std::size_t>(line) <= raw_lines_.size() &&
-        scan::has_inline_allow(raw_lines_[line - 1], "analyze", rule))
+        scan::has_inline_allow(raw_lines_[static_cast<std::size_t>(line) - 1],
+                               "analyze", rule))
       return;
     out_->push_back(Violation{std::string(rel_), line, rule, std::move(detail)});
   }

@@ -1025,7 +1025,8 @@ int report_main(int argc, char** argv) {
   std::cerr << "[dosmeter] " << world->store.size() << " detected events ("
             << world->truth.size() << " ground-truth attacks)\n";
 
-  const auto& pfx2as = world->population.pfx2as();
+  const auto snapshot = query::Snapshot::from_store(
+      world->store, {world->population.pfx2as(), world->population.geo()});
   const dps::Classifier classifier(world->providers, world->names);
   const auto timelines = dps::all_timelines(world->dns, classifier);
   const core::ImpactAnalysis impact(world->store, world->dns);
@@ -1040,12 +1041,13 @@ int report_main(int argc, char** argv) {
     for (const auto filter :
          {core::SourceFilter::kTelescope, core::SourceFilter::kHoneypot,
           core::SourceFilter::kCombined}) {
-      const auto summary = world->store.summarize(filter, pfx2as);
+      const auto q = query::Query{}.from_source(filter);
+      using enum query::DistinctKey;
       table.add_row({core::to_string(filter),
-                     human_count(double(summary.events)),
-                     human_count(double(summary.unique_targets)),
-                     human_count(double(summary.unique_slash24)),
-                     human_count(double(summary.unique_asns))});
+                     human_count(double(snapshot->count(q))),
+                     human_count(double(snapshot->distinct(q, kTarget))),
+                     human_count(double(snapshot->distinct(q, kSlash24))),
+                     human_count(double(snapshot->distinct(q, kAsn)))});
     }
     std::cout << table;
     std::cout << "joint: " << joint.common_targets() << " common targets, "
@@ -1076,16 +1078,18 @@ int report_main(int argc, char** argv) {
     std::filesystem::create_directories(dir);
 
     // Daily series CSV.
-    const auto breakdown =
-        world->store.daily_breakdown(core::SourceFilter::kCombined, pfx2as);
+    const query::Query all;
+    using enum query::DistinctKey;
+    const auto attacks = snapshot->daily_attacks(all);
+    const auto targets = query::daily_distinct(*snapshot, all, kTarget);
+    const auto slash16 = query::daily_distinct(*snapshot, all, kSlash16);
+    const auto asns = query::daily_distinct(*snapshot, all, kAsn);
     TextTable daily({"date", "attacks", "unique_targets", "targeted_slash16",
                      "targeted_asns", "affected_sites", "affected_mail"});
-    for (int d = 0; d < breakdown.attacks.num_days(); ++d) {
+    for (int d = 0; d < attacks.num_days(); ++d) {
       daily.add_row({to_string(world->window.date_of_day(d)),
-                     fixed(breakdown.attacks.at(d), 0),
-                     fixed(breakdown.unique_targets.at(d), 0),
-                     fixed(breakdown.targeted_slash16.at(d), 0),
-                     fixed(breakdown.targeted_asns.at(d), 0),
+                     fixed(attacks.at(d), 0), fixed(targets.at(d), 0),
+                     fixed(slash16.at(d), 0), fixed(asns.at(d), 0),
                      fixed(impact.affected_daily().at(d), 0),
                      fixed(mail.affected_daily().at(d), 0)});
     }
