@@ -48,8 +48,9 @@ inline const sim::World& shared_world() {
 inline const query::Snapshot& shared_snapshot() {
   static const auto snapshot = [] {
     const auto& world = shared_world();
-    return query::Snapshot::from_store(
-        world.store, {world.population.pfx2as(), world.population.geo()});
+    return query::Snapshot::build(
+        world.store.window(), world.store.events(),
+        {world.population.pfx2as(), world.population.geo()});
   }();
   return *snapshot;
 }

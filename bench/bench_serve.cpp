@@ -210,7 +210,8 @@ int run(int argc, char** argv) {
   const query::BuildContext ctx{world->population.pfx2as(),
                                 world->population.geo()};
   query::QueryEngine engine;
-  engine.publish(query::Snapshot::from_store(world->store, ctx, 1));
+  engine.publish(query::Snapshot::build(world->store.window(),
+                                        world->store.events(), ctx, 1));
   std::cerr << "[bench] snapshot ready: " << engine.snapshot()->size()
             << " events\n";
 

@@ -62,8 +62,7 @@ int main(int argc, char** argv) {
   for (const auto& event : world->store.events()) {
     publisher.ingest(event);
     const auto snap = engine.snapshot();
-    if (snap && world->window.day_of(static_cast<UnixSeconds>(event.start)) >=
-                    next_report) {
+    if (snap && world->window.event_day(event.start) >= next_report) {
       dashboard();
       next_report += report_every;
     }

@@ -27,8 +27,9 @@ int main(int argc, char** argv) {
 
   // Table-1 style summary of what the detectors saw, from the query
   // snapshot every rollup runs on.
-  const auto snapshot = query::Snapshot::from_store(
-      world->store, {world->population.pfx2as(), world->population.geo()});
+  const auto snapshot = query::Snapshot::build(
+      world->store.window(), world->store.events(),
+      {world->population.pfx2as(), world->population.geo()});
   using enum query::DistinctKey;
   for (const auto filter :
        {core::SourceFilter::kTelescope, core::SourceFilter::kHoneypot,

@@ -7,7 +7,10 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace dosm {
 
@@ -73,6 +76,14 @@ struct StudyWindow {
     return static_cast<int>(day_index(t) - days_from_civil(start));
   }
 
+  /// The day an event starting at `event_start` counts on (§5 fn. 15: the
+  /// day it starts), or -1 when it starts outside the window. Fractional
+  /// seconds truncate before the window test.
+  int event_day(double event_start) const {
+    const auto t = static_cast<UnixSeconds>(event_start);
+    return contains(t) ? day_of(t) : -1;
+  }
+
   /// Midnight of the day at the given 0-based offset.
   UnixSeconds day_start(int day_offset) const {
     return start_time() + static_cast<UnixSeconds>(day_offset) * kSecondsPerDay;
@@ -81,6 +92,43 @@ struct StudyWindow {
   CivilDate date_of_day(int day_offset) const {
     return civil_from_days(days_from_civil(start) + day_offset);
   }
+};
+
+/// The one day-advance rule for a stream in start order (DESIGN.md §16).
+/// advance() throws std::invalid_argument when `start` decreases, calls
+/// close(d) for every open day before the event's day (gap days included)
+/// and returns that day. An event at or after the window end closes the
+/// open day; one before the window opens and closes nothing; both return
+/// -1. finish() closes the open day, if any. `close` is a template
+/// parameter, so the per-event path never goes through a std::function.
+class DayClock {
+ public:
+  explicit DayClock(StudyWindow window) : window_(window) {}
+
+  template <typename Close>
+  int advance(double start, Close&& close) {
+    if (start < last_start_)
+      throw std::invalid_argument("DayClock: start order must not decrease");
+    last_start_ = start;
+    const int day = window_.event_day(start);
+    if (day < 0) {
+      if (static_cast<UnixSeconds>(start) >= window_.end_time()) finish(close);
+      return -1;
+    }
+    if (open_day_ < 0) open_day_ = day;
+    for (; open_day_ < day; ++open_day_) close(open_day_);
+    return day;
+  }
+
+  template <typename Close>
+  void finish(Close&& close) {
+    if (open_day_ >= 0) close(std::exchange(open_day_, -1));
+  }
+
+ private:
+  StudyWindow window_;
+  double last_start_ = std::numeric_limits<double>::lowest();
+  int open_day_ = -1;
 };
 
 /// Formats a duration in seconds as a compact human string ("4h12m", "255s").

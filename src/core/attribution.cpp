@@ -21,8 +21,7 @@ std::vector<PeakParty> attribute_peak(const EventStore& store,
 
   const auto& window = store.window();
   for (const auto& event : store.events()) {
-    const auto t = static_cast<UnixSeconds>(event.start);
-    if (!window.contains(t) || window.day_of(t) != day) continue;
+    if (day < 0 || window.event_day(event.start) != day) continue;
     const auto sites = dns.sites_on(event.target, day);
     if (sites.empty()) continue;
     const auto asn = pfx2as.origin(event.target);

@@ -47,17 +47,13 @@ ImpactAnalysis::ImpactAnalysis(const EventStore& store,
       affected_daily_medium_(store.window().num_days()),
       cohosting_(7),
       info_(dns.num_domains()) {
-  const auto& window = store.window();
-  const auto events = store.events();
-
   // Per-day distinct affected domains. Events are time-ordered after
-  // finalize(), so a single sweep keeps only the current day's sets alive.
+  // finalize(), so a single sweep keeps only the open day's sets alive.
   std::unordered_set<dns::DomainId> day_sites, day_sites_medium;
-  int current_day = -1;
-  auto flush_day = [&]() {
-    if (current_day < 0) return;
-    affected_daily_.set(current_day, static_cast<double>(day_sites.size()));
-    affected_daily_medium_.set(current_day,
+  DayClock clock(store.window());
+  const auto close_day = [&](int day) {
+    affected_daily_.set(day, static_cast<double>(day_sites.size()));
+    affected_daily_medium_.set(day,
                                static_cast<double>(day_sites_medium.size()));
     day_sites.clear();
     day_sites_medium.clear();
@@ -70,14 +66,9 @@ ImpactAnalysis::ImpactAnalysis(const EventStore& store,
   std::uint64_t single_tcp_on_web = 0, webport_on_web = 0;
   std::uint64_t honeypot_on_web = 0, ntp_on_web = 0;
 
-  for (const auto& event : events) {
-    const auto t = static_cast<UnixSeconds>(event.start);
-    if (!window.contains(t)) continue;
-    const int day = window.day_of(t);
-    if (day != current_day) {
-      flush_day();
-      current_day = day;
-    }
+  for (const auto& event : store.events()) {
+    const int day = clock.advance(event.start, close_day);
+    if (day < 0) continue;
 
     const auto sites = dns_.sites_on(event.target, day);
     const bool first_time = seen_targets.insert(event.target.value()).second;
@@ -113,7 +104,7 @@ ImpactAnalysis::ImpactAnalysis(const EventStore& store,
           {day, norm, duration, event.is_honeypot()});
     }
   }
-  flush_day();
+  clock.finish(close_day);
 
   for (dns::DomainId id = 0; id < info_.size(); ++id) {
     auto& touches = info_[id].touches;

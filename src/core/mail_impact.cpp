@@ -9,28 +9,19 @@ namespace dosm::core {
 MailImpactAnalysis::MailImpactAnalysis(const EventStore& store,
                                        const dns::SnapshotStore& dns)
     : affected_daily_(store.window().num_days()) {
-  const auto& window = store.window();
-
   std::unordered_set<dns::DomainId> day_domains;
   std::unordered_set<dns::DomainId> ever;
   std::unordered_set<std::uint32_t> seen_targets;
   std::map<net::Ipv4Addr, std::uint64_t> involvement_counts;
-  int current_day = -1;
-
-  auto flush_day = [&]() {
-    if (current_day < 0) return;
-    affected_daily_.set(current_day, static_cast<double>(day_domains.size()));
+  DayClock clock(store.window());
+  const auto close_day = [&](int day) {
+    affected_daily_.set(day, static_cast<double>(day_domains.size()));
     day_domains.clear();
   };
 
   for (const auto& event : store.events()) {
-    const auto t = static_cast<UnixSeconds>(event.start);
-    if (!window.contains(t)) continue;
-    const int day = window.day_of(t);
-    if (day != current_day) {
-      flush_day();
-      current_day = day;
-    }
+    const int day = clock.advance(event.start, close_day);
+    if (day < 0) continue;
     const auto domains = dns.mail_domains_on(event.target, day);
     if (domains.empty()) continue;
     if (seen_targets.insert(event.target.value()).second)
@@ -41,7 +32,7 @@ MailImpactAnalysis::MailImpactAnalysis(const EventStore& store,
       ever.insert(domain);
     }
   }
-  flush_day();
+  clock.finish(close_day);
   affected_domains_ = ever.size();
 
   dns.for_each_domain([&](dns::DomainId, const dns::DomainEntry& entry) {

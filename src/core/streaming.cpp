@@ -43,10 +43,10 @@ struct FusionMetrics {
 StreamingFusion::StreamingFusion(StudyWindow window, Config config,
                                  SummaryCallback on_summary,
                                  AlertSink* alert_sink)
-    : window_(window),
-      config_(config),
+    : config_(config),
       on_summary_(std::move(on_summary)),
-      alert_sink_(alert_sink) {
+      alert_sink_(alert_sink),
+      clock_(window) {
   if (!on_summary_)
     throw std::invalid_argument("StreamingFusion: summary callback required");
   if (config_.baseline_days < 1)
@@ -66,29 +66,9 @@ StreamingFusion::StreamingFusion(StudyWindow window, Config config,
 }
 
 void StreamingFusion::ingest(const AttackEvent& event) {
-  if (event.start < last_start_)
-    throw std::invalid_argument(
-        "StreamingFusion::ingest: events must arrive in time order");
-  last_start_ = event.start;
-
-  const auto t = static_cast<UnixSeconds>(event.start);
-  if (!window_.contains(t)) {
+  if (clock_.advance(event.start, [this](int day) { close_day(day); }) < 0) {
     FusionMetrics::get().out_of_window.inc();
     return;
-  }
-  const int day = window_.day_of(t);
-  if (current_day_ >= 0 && day < current_day_)
-    throw std::invalid_argument("StreamingFusion::ingest: day went backwards");
-  while (current_day_ >= 0 && day > current_day_) {
-    close_day();
-    ++current_day_;
-    pending_ = DaySummary{};
-    pending_.day = current_day_;
-  }
-  if (current_day_ < 0) {
-    current_day_ = day;
-    pending_ = DaySummary{};
-    pending_.day = day;
   }
 
   ++events_ingested_;
@@ -103,7 +83,8 @@ void StreamingFusion::ingest(const AttackEvent& event) {
   day_targets_[event.target.value()] |= source_bit;
 }
 
-void StreamingFusion::close_day() {
+void StreamingFusion::close_day(int day) {
+  pending_.day = day;
   pending_.unique_targets = day_targets_.size();
   for (const auto& [target, mask] : day_targets_) {
     if (mask == 3) ++pending_.co_targeted;
@@ -112,11 +93,11 @@ void StreamingFusion::close_day() {
 
   // Spike detection against the trailing baseline (before appending the
   // new value, so a spike does not mask itself). Days with zero attacks can
-  // only be idle catch-up days synthesized by the ingest loop (a day with a
-  // real event always counts it before closing); folding their zeros into
-  // the baseline would drag the trailing mean toward zero during a lull and
-  // make the first ordinary day afterwards fire a spurious spike alert, so
-  // they are emitted as summaries but kept out of the histories entirely.
+  // only be gap days closed by the clock (a day with a real event always
+  // counts it before closing); folding their zeros into the baseline would
+  // drag the trailing mean toward zero during a lull and make the first
+  // ordinary day afterwards fire a spurious spike alert, so they are
+  // emitted as summaries but kept out of the histories entirely.
   if (pending_.attacks == 0) {
     FusionMetrics::get().gap_days.inc();
   } else {
@@ -127,6 +108,7 @@ void StreamingFusion::close_day() {
   }
 
   on_summary_(pending_);
+  pending_ = DaySummary{};
   ++days_emitted_;
   FusionMetrics::get().days_emitted.inc();
 }
@@ -153,8 +135,7 @@ void StreamingFusion::check_spike(AlertKind kind, double value,
 }
 
 void StreamingFusion::finish() {
-  if (current_day_ >= 0) close_day();
-  current_day_ = -1;
+  clock_.finish([this](int day) { close_day(day); });
 }
 
 }  // namespace dosm::core

@@ -2,11 +2,11 @@
 //
 // The paper closes on the challenge of "near-realtime data fusion,
 // extraction, correlation and visualization". This module is the
-// operational counterpart of the batch EventStore: events from both
-// detectors are ingested in time order as they are produced; at each day
-// boundary the fused day summary is emitted, and anomaly alerts fire when a
-// day's activity spikes against a trailing baseline — the situational-
-// awareness output the paper envisions.
+// operational counterpart of the batch analyses: events from both detectors
+// are ingested in start order as they are produced; each time the DayClock
+// (common/time.h) closes a day, gap days included, the fused day summary is
+// emitted, and anomaly alerts fire when a day's activity spikes against a
+// trailing baseline — the situational-awareness output the paper envisions.
 #pragma once
 
 #include <cstdint>
@@ -57,11 +57,11 @@ class StreamingFusion {
 
   /// Ingests one event. Events must arrive in non-decreasing start order
   /// (each detector emits chronologically and the fusion layer merges);
-  /// an out-of-order event throws std::invalid_argument. Events outside
-  /// the window are ignored.
+  /// an out-of-order event throws std::invalid_argument. Days close on the
+  /// DayClock, gap days included; events outside the window are ignored.
   void ingest(const AttackEvent& event);
 
-  /// Flushes the final (possibly partial) day.
+  /// Summarizes the open (possibly partial) day.
   void finish();
 
   std::uint64_t events_ingested() const { return events_ingested_; }
@@ -69,17 +69,15 @@ class StreamingFusion {
   std::uint64_t alerts_fired() const { return alerts_fired_; }
 
  private:
-  void close_day();
+  void close_day(int day);
   void check_spike(AlertKind kind, double value, std::deque<double>& history);
 
-  StudyWindow window_;
   Config config_;
   SummaryCallback on_summary_;
   AlertSink* alert_sink_;
 
-  int current_day_ = -1;
-  double last_start_ = -1.0e300;
-  DaySummary pending_{};
+  DayClock clock_;
+  DaySummary pending_{};  // the open day's counts
   // Per-day target sets: value = bitmask of sources that hit the target.
   std::unordered_map<std::uint32_t, std::uint8_t> day_targets_;
   std::deque<double> attack_history_;

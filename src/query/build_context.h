@@ -1,12 +1,12 @@
 // The consolidated snapshot-construction surface.
 //
-// Every path that materializes columnar segments — the batch named
-// constructors on Snapshot and the streaming SnapshotPublisher — needs the
+// Every path that materializes columnar segments — the batch
+// Snapshot::build and the streaming SnapshotPublisher — needs the
 // same three ingredients: the metadata joins resolved at build time
 // (pfx2as, geo) and the worker count for the deterministic parallel frame
 // build. BuildContext is that one bag of arguments, replacing the six
-// positional parameters the old Snapshot::build / from_store /
-// SnapshotPublisher signatures spread across call sites.
+// positional parameters the old Snapshot::build / SnapshotPublisher
+// signatures spread across call sites.
 //
 // Lifetimes: the metadata maps are BORROWED. For the batch builders they
 // must stay alive for the duration of the build call; a SnapshotPublisher

@@ -64,30 +64,22 @@ SnapshotPublisher::SnapshotPublisher(QueryEngine& engine, StudyWindow window,
     : engine_(&engine),
       window_(window),
       ctx_(ctx),
-      day_builder_(window, ctx.pfx2as, ctx.geo) {}
+      day_builder_(window, ctx.pfx2as, ctx.geo),
+      clock_(window) {}
 
 void SnapshotPublisher::ingest(const core::AttackEvent& event) {
-  if (event.start < last_start_)
-    throw std::invalid_argument(
-        "SnapshotPublisher::ingest: events must arrive in time order");
-  last_start_ = event.start;
-
-  const auto t = static_cast<UnixSeconds>(event.start);
-  if (!window_.contains(t)) return;
-  const int day = window_.day_of(t);
-  if (current_day_ >= 0 && day > current_day_) seal_and_publish();
-  current_day_ = day;
-
+  if (clock_.advance(event.start, [this](int) { seal_and_publish(); }) < 0)
+    return;
   day_builder_.add(event);
   ++events_ingested_;
 }
 
 void SnapshotPublisher::finish() {
-  if (current_day_ >= 0) seal_and_publish();
-  current_day_ = -1;
+  clock_.finish([this](int) { seal_and_publish(); });
 }
 
 void SnapshotPublisher::seal_and_publish() {
+  if (day_builder_.size() == 0) return;  // a gap day has nothing to seal
   EngineMetrics& metrics = EngineMetrics::get();
   const obs::ScopedTimer timer(metrics.publish_seconds);
   metrics.segments_reused.add(sealed_.size());

@@ -4,10 +4,10 @@
 // shared_ptr<const Snapshot> — and run any number of queries against the
 // immutable snapshot they obtained; they never block and can never observe
 // torn state, because published snapshots are never mutated. The streaming
-// path (SnapshotPublisher) seals only the just-completed day into a new
-// FrameSegment at every day boundary and publishes a snapshot whose segment
-// list reuses every previously sealed segment by pointer — an O(new-day)
-// publish. Readers holding an old snapshot keep it alive until they drop it.
+// path (SnapshotPublisher) seals each completed day that has events into a
+// new FrameSegment and publishes a snapshot whose segment list reuses every
+// previously sealed segment by pointer — an O(new-day) publish. Readers
+// holding an old snapshot keep it alive until they drop it.
 //
 // This is the §9 "near-realtime fusion, extraction, correlation" serving
 // model: one writer, many ad-hoc query clients.
@@ -50,14 +50,14 @@ class QueryEngine {
   std::atomic<std::uint64_t> publishes_{0};
 };
 
-/// Bridges time-ordered streaming ingest to snapshot publication. Mirrors
-/// StreamingFusion's contract (non-decreasing start order, out-of-window
-/// events ignored). Each completed day is sealed ONCE into an immutable
-/// FrameSegment; the publish assembles a new segment list sharing all prior
-/// segments by pointer, so publish cost is O(rows in the sealed day), not
-/// O(all history) — while a reader still always sees a whole-day-consistent
-/// dataset. The publisher always seals per completed day; ctx.segment_days
-/// does not apply to the streaming path.
+/// Bridges time-ordered streaming ingest to snapshot publication. Days close
+/// on a DayClock (common/time.h); out-of-window events are not ingested.
+/// Each completed day with events is sealed ONCE into an immutable
+/// FrameSegment (a gap day publishes nothing); the publish assembles a new
+/// segment list sharing all prior segments by pointer, so publish cost is
+/// O(rows in the sealed day), not O(all history) — while a reader still
+/// always sees a whole-day-consistent dataset. ctx.segment_days does not
+/// apply to the streaming path.
 class SnapshotPublisher {
  public:
   /// The engine is borrowed and must outlive the publisher. The publisher
@@ -67,15 +67,15 @@ class SnapshotPublisher {
                     const BuildContext& ctx);
 
   /// Ingests one event; throws std::invalid_argument when start order
-  /// decreases. Seals + publishes whenever a day boundary is crossed.
+  /// decreases. Seals + publishes each non-empty day the clock closes.
   void ingest(const core::AttackEvent& event);
 
-  /// Seals and publishes the final (possibly partial) day.
+  /// Seals and publishes the open (possibly partial) day.
   void finish();
 
   std::uint64_t events_ingested() const { return events_ingested_; }
   std::uint64_t snapshots_published() const { return snapshots_published_; }
-  /// Segments sealed so far == days completed (each sealed exactly once).
+  /// Segments sealed so far == non-empty days completed (each sealed once).
   std::size_t segments_sealed() const { return sealed_.size(); }
 
  private:
@@ -86,8 +86,7 @@ class SnapshotPublisher {
   BuildContext ctx_;
   std::vector<std::shared_ptr<const FrameSegment>> sealed_;
   FrameBuilder day_builder_;
-  int current_day_ = -1;
-  double last_start_ = -1.0e300;
+  DayClock clock_;
   std::uint64_t events_ingested_ = 0;
   std::uint64_t snapshots_published_ = 0;
   std::uint64_t next_version_ = 1;

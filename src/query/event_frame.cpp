@@ -66,8 +66,7 @@ void FrameBuilder::add(const core::AttackEvent& event) {
   row.top_port = event.top_port;
   row.asn = pfx2as_->origin(event.target);
   row.country = pack_country(geo_->locate(event.target));
-  const auto t = static_cast<UnixSeconds>(event.start);
-  row.day = window_.contains(t) ? window_.day_of(t) : -1;
+  row.day = window_.event_day(event.start);
   rows_.push_back(row);
 }
 

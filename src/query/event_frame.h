@@ -116,8 +116,8 @@ class FrameBuilder {
   /// Sorts rows by (start, target, source, insertion index) and emits the
   /// frame. The trailing index makes the key a total order, so the sorted
   /// permutation — and the frame — is identical however the sort is
-  /// executed. The builder keeps its rows, so it can keep accumulating and
-  /// build again (the streaming publisher rebuilds at every day boundary).
+  /// executed. The builder keeps its rows; the streaming publisher seals
+  /// each day from a fresh builder instead of rebuilding.
   EventFrame build() const;
 
   /// Same frame, built with up to `threads` workers: rows are block-sorted

@@ -63,12 +63,11 @@ std::vector<std::shared_ptr<const FrameSegment>> build_segments(
   // bucket, so concatenating the sealed buckets reproduces the monolithic
   // sort order exactly (see segment.h).
   const auto key_of = [&](const core::AttackEvent& event) {
-    const auto t = static_cast<UnixSeconds>(event.start);
-    if (!window.contains(t)) {
-      return t < window.start_time() ? std::numeric_limits<int>::min()
-                                     : std::numeric_limits<int>::max();
-    }
-    return window.day_of(t) / ctx.segment_days;
+    const int day = window.event_day(event.start);
+    if (day >= 0) return day / ctx.segment_days;
+    return static_cast<UnixSeconds>(event.start) < window.start_time()
+               ? std::numeric_limits<int>::min()
+               : std::numeric_limits<int>::max();
   };
 
   std::map<int, FrameBuilder> buckets;

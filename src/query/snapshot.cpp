@@ -218,12 +218,6 @@ std::shared_ptr<const Snapshot> Snapshot::build(
       window, build_segments(window, events, ctx), version);
 }
 
-std::shared_ptr<const Snapshot> Snapshot::from_store(
-    const core::EventStore& store, const BuildContext& ctx,
-    std::uint64_t version) {
-  return build(store.window(), store.events(), ctx, version);
-}
-
 Snapshot::Located Snapshot::locate(std::uint32_t row) const {
   const auto it = std::upper_bound(bases_.begin(), bases_.end(), row);
   const auto index = static_cast<std::size_t>(it - bases_.begin()) - 1;

@@ -48,7 +48,7 @@ namespace dosm::query {
 class Snapshot {
  public:
   /// Assembles a snapshot over already-sealed segments (must be in bucket
-  /// order; see segment.h). Prefer the named constructors for batch data —
+  /// order; see segment.h). Prefer build() for batch data —
   /// this is the streaming publisher's structural-sharing path.
   Snapshot(StudyWindow window,
            std::vector<std::shared_ptr<const FrameSegment>> segments,
@@ -71,11 +71,6 @@ class Snapshot {
   static std::shared_ptr<const Snapshot> build(
       StudyWindow window, std::span<const core::AttackEvent> events,
       const BuildContext& ctx, std::uint64_t version = 0);
-
-  /// Builds a snapshot of a (finalized or not) batch EventStore.
-  static std::shared_ptr<const Snapshot> from_store(
-      const core::EventStore& store, const BuildContext& ctx,
-      std::uint64_t version = 0);
 
   /// Sealed segments in time order. Cold slots appear as null pointers —
   /// callers that walk this span (structural-sharing checks, the archive

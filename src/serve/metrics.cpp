@@ -22,6 +22,9 @@ Metrics& Metrics::get() {
         reg.counter("serve.responses.server_error", "5xx responses sent"),
         reg.counter("serve.bad_requests",
                     "Requests rejected by the HTTP parser"),
+        reg.counter("serve.request_timeouts",
+                    "Connections answered 408 because a request did not "
+                    "arrive whole within its deadline"),
         reg.counter("serve.budget.rows_rejected",
                     "Requests rejected by the per-query row budget"),
         reg.counter("serve.budget.time_rejected",

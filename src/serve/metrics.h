@@ -24,6 +24,7 @@ struct Metrics {
   obs::Counter& responses_client_error;  // 4xx
   obs::Counter& responses_server_error;  // 5xx
   obs::Counter& bad_requests;            // parse failures (400/431/413)
+  obs::Counter& request_timeouts;        // 408s: request not whole in time
   obs::Counter& budget_rows_rejected;
   obs::Counter& budget_time_rejected;
 

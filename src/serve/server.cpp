@@ -30,9 +30,29 @@ constexpr std::string_view kRejectResponse =
     "\r\n"
     "{\"error\":\"saturated\"}";
 
-void set_timeout(int fd, int which, long seconds) {
+/// The canned answer to a request that did not arrive whole within
+/// kRequestDeadlineNs of its first byte (a slow or dripping client).
+constexpr std::string_view kTimeoutResponse =
+    "HTTP/1.1 408 Request Timeout\r\n"
+    "Content-Type: application/json\r\n"
+    "Content-Length: 27\r\n"
+    "Connection: close\r\n"
+    "\r\n"
+    "{\"error\":\"request timeout\"}";
+
+/// Whole-request deadline, counted from the request's first byte: the
+/// receive timeout alone re-arms on every byte, so a client dripping one
+/// byte a second would hold a worker forever.
+constexpr std::uint64_t kRequestDeadlineNs = 5'000'000'000;
+
+/// The receive timeout of an idle keep-alive connection, and the send
+/// timeout of every connection.
+constexpr std::uint64_t kIdleTimeoutUs = 5'000'000;
+
+void set_timeout(int fd, int which, std::uint64_t micros) {
   timeval tv{};
-  tv.tv_sec = seconds;
+  tv.tv_sec = static_cast<time_t>(micros / 1000000);
+  tv.tv_usec = static_cast<suseconds_t>(micros % 1000000);
   ::setsockopt(fd, SOL_SOCKET, which, &tv, sizeof(tv));
 }
 
@@ -199,8 +219,8 @@ void Server::accept_loop() {
       break;  // listen socket shut down
     }
     metrics.connections_accepted.inc();
-    set_timeout(fd, SO_RCVTIMEO, 5);
-    set_timeout(fd, SO_SNDTIMEO, 5);
+    set_timeout(fd, SO_RCVTIMEO, kIdleTimeoutUs);
+    set_timeout(fd, SO_SNDTIMEO, kIdleTimeoutUs);
     if (queue_.try_push(fd)) {
       metrics.admission_enqueued.inc();
       metrics.queue_depth.set(static_cast<std::int64_t>(queue_.depth()));
@@ -233,16 +253,39 @@ void Server::serve_connection(int fd) {
   Metrics& metrics = Metrics::get();
   std::string buffer;
   char chunk[4096];
+  // Deadline of the request whose bytes are buffered; 0 while idle. The
+  // receive timeout is re-armed only when a partial request is pending, so
+  // a request that arrives in one segment costs no extra system call.
+  std::uint64_t deadline_ns = 0;
+  bool idle_timeout = true;  // SO_RCVTIMEO holds kIdleTimeoutUs
   while (!stopping_.load(std::memory_order_relaxed)) {
     const ParseResult parsed = parse_request(buffer, config_.http);
     if (parsed.status == ParseStatus::kNeedMore) {
-      const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-      if (n <= 0) {
-        if (n < 0 && errno == EINTR) continue;
-        return;  // peer closed, timed out, or errored
+      if (!buffer.empty()) {
+        const std::uint64_t now = obs::monotonic_now_ns();
+        if (deadline_ns == 0) deadline_ns = now + kRequestDeadlineNs;
+        if (now >= deadline_ns) {
+          metrics.request_timeouts.inc();
+          metrics.responses_client_error.inc();
+          send_all(fd, kTimeoutResponse);
+          return;
+        }
+        set_timeout(fd, SO_RCVTIMEO, (deadline_ns - now + 999) / 1000);
+        idle_timeout = false;
+      } else if (!idle_timeout) {
+        set_timeout(fd, SO_RCVTIMEO, kIdleTimeoutUs);
+        idle_timeout = true;
       }
-      buffer.append(chunk, static_cast<std::size_t>(n));
-      continue;
+      const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+      if (n > 0) {
+        buffer.append(chunk, static_cast<std::size_t>(n));
+        continue;
+      }
+      if (n < 0 && errno == EINTR) continue;
+      // A partial request's receive timeout (EAGAIN, which is EWOULDBLOCK
+      // on Linux) loops back to the 408 above.
+      if (n < 0 && !buffer.empty() && errno == EAGAIN) continue;
+      return;  // peer closed, idle timeout, or error
     }
     if (parsed.status != ParseStatus::kOk) {
       metrics.bad_requests.inc();
@@ -254,6 +297,7 @@ void Server::serve_connection(int fd) {
       return;  // malformed framing: the byte stream is unrecoverable
     }
     buffer.erase(0, parsed.consumed);
+    deadline_ns = 0;  // a pipelined next request starts its own clock
     metrics.requests.inc();
     const obs::ScopedTimer timer(metrics.request_seconds);
     const std::string response =

@@ -14,7 +14,9 @@
 // the acceptor still accepts (so the client gets an answer, not a timeout),
 // writes a canned 429 with Retry-After, closes, and counts the drop in
 // serve.admission.rejected. Nothing downstream of the queue can be
-// saturated into allocation growth.
+// saturated into allocation growth. A request must arrive whole within 5 s
+// of its first byte, so a client that drips bytes holds a worker for at
+// most that long before it is answered 408 (serve.request_timeouts).
 //
 // Each request runs against ONE snapshot acquired once (shared_ptr load
 // from the QueryEngine); the result cache is keyed by (snapshot version,

@@ -100,9 +100,8 @@ std::vector<MigrationRecord> MigrationModel::apply(
 
   // Attack-driven decisions, in time order.
   for (const auto& attack : attacks) {
-    const auto ts = static_cast<UnixSeconds>(attack.start);
-    if (!window_.contains(ts)) continue;
-    const int day = window_.day_of(ts);
+    const int day = window_.event_day(attack.start);
+    if (day < 0) continue;
     const double rank = intensity_rank(attack);
     if (rank < config_.min_trigger_rank) continue;
     if (attack.duration_s < config_.min_trigger_duration_s) continue;

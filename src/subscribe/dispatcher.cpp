@@ -101,8 +101,7 @@ bool Dispatcher::unsubscribe(SubscriptionId id) {
 }
 
 void Dispatcher::ingest(const core::AttackEvent& event) {
-  const auto t = static_cast<UnixSeconds>(event.start);
-  const int day = config_.window.contains(t) ? config_.window.day_of(t) : -1;
+  const int day = config_.window.event_day(event.start);
   const meta::Asn asn = config_.pfx2as != nullptr
                             ? config_.pfx2as->origin(event.target)
                             : meta::kUnknownAsn;

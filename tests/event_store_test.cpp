@@ -53,7 +53,8 @@ class EventStoreTest : public ::testing::Test {
   /// query::ScanOracle: both executors must give the hand-computed answers.
   template <typename Check>
   void on_both(const EventStore& store, Check check) const {
-    check(*query::Snapshot::from_store(store, {pfx2as_, geo_}));
+    check(*query::Snapshot::build(store.window(), store.events(),
+                                  {pfx2as_, geo_}));
     check(query::ScanOracle(store.events(), window_, pfx2as_, geo_));
   }
 

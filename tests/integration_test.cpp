@@ -53,8 +53,9 @@ std::vector<dps::ProtectionTimeline>* IntegrationTest::timelines_ = nullptr;
 core::ImpactAnalysis* IntegrationTest::impact_ = nullptr;
 
 TEST_F(IntegrationTest, Table1ShapeHolds) {
-  const auto snapshot = query::Snapshot::from_store(
-      world_->store, {world_->population.pfx2as(), world_->population.geo()});
+  const auto snapshot = query::Snapshot::build(
+      world_->store.window(), world_->store.events(),
+      {world_->population.pfx2as(), world_->population.geo()});
   using enum core::SourceFilter;
   const auto telescope = query::Query{}.from_source(kTelescope);
   const auto honeypot = query::Query{}.from_source(kHoneypot);
@@ -68,8 +69,9 @@ TEST_F(IntegrationTest, Table1ShapeHolds) {
 }
 
 TEST_F(IntegrationTest, Figure1DailySeriesAreDense) {
-  const auto snapshot = query::Snapshot::from_store(
-      world_->store, {world_->population.pfx2as(), world_->population.geo()});
+  const auto snapshot = query::Snapshot::build(
+      world_->store.window(), world_->store.events(),
+      {world_->population.pfx2as(), world_->population.geo()});
   const query::Query all;
   const auto attacks = snapshot->daily_attacks(all);
   const auto targets =

@@ -203,6 +203,7 @@ TEST_F(ObsTest, ServeMetricsAppearInPrometheusExport) {
         "dosm_serve_admission_enqueued", "dosm_serve_queue_depth",
         "dosm_serve_responses_ok", "dosm_serve_responses_client_error",
         "dosm_serve_responses_server_error", "dosm_serve_bad_requests",
+        "dosm_serve_request_timeouts",
         "dosm_serve_budget_rows_rejected", "dosm_serve_budget_time_rejected",
         "dosm_serve_cache_hits", "dosm_serve_cache_misses",
         "dosm_serve_cache_evictions", "dosm_serve_cache_stale_dropped",

@@ -157,7 +157,8 @@ TEST_P(StoreInvariants, HoldForRandomPopulations) {
   meta::PrefixToAsMap pfx2as;
   pfx2as.announce(net::Prefix::parse("10.0.0.0/8"), 64500);
   const meta::GeoDatabase geo;
-  const auto snapshot = query::Snapshot::from_store(store, {pfx2as, geo});
+  const auto snapshot =
+      query::Snapshot::build(store.window(), store.events(), {pfx2as, geo});
   using enum core::SourceFilter;
   using enum query::DistinctKey;
   const auto events = [&](core::SourceFilter filter) {

@@ -375,9 +375,9 @@ TEST(QueryCacheKeyTest, KeyIsStableForEqualQueries) {
 
 TEST(QueryBudgetTest, RowBudgetAbortsDeterministically) {
   const auto world = sim::build_world(sim::ScenarioConfig::small());
-  const auto snapshot = Snapshot::from_store(
-      world->store, BuildContext{world->population.pfx2as(),
-                                 world->population.geo()});
+  const auto snapshot = Snapshot::build(
+      world->store.window(), world->store.events(),
+      BuildContext{world->population.pfx2as(), world->population.geo()});
   const Query all;
   ExecBudget tight;
   tight.max_rows = 10;  // far below the small world's event count
@@ -402,9 +402,9 @@ TEST(QueryBudgetTest, RowBudgetAbortsDeterministically) {
 
 TEST(QueryBudgetTest, SufficientBudgetDoesNotPerturbResults) {
   const auto world = sim::build_world(sim::ScenarioConfig::small());
-  const auto snapshot = Snapshot::from_store(
-      world->store, BuildContext{world->population.pfx2as(),
-                                 world->population.geo()});
+  const auto snapshot = Snapshot::build(
+      world->store.window(), world->store.events(),
+      BuildContext{world->population.pfx2as(), world->population.geo()});
   const Query all;
   ExecBudget roomy;
   roomy.max_rows = snapshot->size() + 1;
@@ -468,9 +468,9 @@ TEST(QueryBudgetTest, RowBudgetIsIdenticalAcrossSegmentGranularities) {
 
 TEST(QueryBudgetTest, ExpiredDeadlineSurfacesAsTimeKind) {
   const auto world = sim::build_world(sim::ScenarioConfig::small());
-  const auto snapshot = Snapshot::from_store(
-      world->store, BuildContext{world->population.pfx2as(),
-                                 world->population.geo()});
+  const auto snapshot = Snapshot::build(
+      world->store.window(), world->store.events(),
+      BuildContext{world->population.pfx2as(), world->population.geo()});
   ExecBudget expired;
   expired.deadline_ns = 1;  // monotonic epoch start — always in the past
   try {

@@ -46,8 +46,9 @@ TEST_F(ScenarioTest, EventsRespectDetectionThresholds) {
 }
 
 TEST_F(ScenarioTest, SummariesAreConsistent) {
-  const auto snapshot = query::Snapshot::from_store(
-      world_->store, {world_->population.pfx2as(), world_->population.geo()});
+  const auto snapshot = query::Snapshot::build(
+      world_->store.window(), world_->store.events(),
+      {world_->population.pfx2as(), world_->population.geo()});
   using enum core::SourceFilter;
   using enum query::DistinctKey;
   const auto events = [&](core::SourceFilter filter) {

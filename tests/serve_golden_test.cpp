@@ -131,8 +131,8 @@ TEST(ServeGoldenTest, EveryEndpointAnswersTheCapturedBytes) {
   // The same fixture worlds the capture tool served from.
   const auto world = sim::build_world(sim::ScenarioConfig::small());
   query::QueryEngine main_engine;
-  main_engine.publish(query::Snapshot::from_store(
-      world->store,
+  main_engine.publish(query::Snapshot::build(
+      world->store.window(), world->store.events(),
       query::BuildContext{world->population.pfx2as(),
                           world->population.geo()},
       1));

@@ -2,10 +2,10 @@
 // byte-flip/truncation property in serialize_fuzz_test style — runs under
 // ASan in CI), the byte-bounded LRU result cache, the URL→Query API
 // mapping, and the live server over loopback TCP — keep-alive, budgets
-// (422), admission control (429), snapshot-swap cache invalidation, the
-// 1-vs-8-worker byte-determinism contract, and a multi-client stress run
-// against a concurrently publishing SnapshotPublisher (the TSan CI job
-// runs this file).
+// (422), admission control (429), the slow-client deadline (408),
+// snapshot-swap cache invalidation, the 1-vs-8-worker byte-determinism
+// contract, and a multi-client stress run against a concurrently
+// publishing SnapshotPublisher (the TSan CI job runs this file).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -13,8 +13,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <charconv>
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -496,8 +498,8 @@ query::QueryEngine& shared_engine() {
   static query::QueryEngine* engine = [] {
     const auto world = sim::build_world(sim::ScenarioConfig::small());
     auto* e = new query::QueryEngine();
-    e->publish(query::Snapshot::from_store(
-        world->store,
+    e->publish(query::Snapshot::build(
+        world->store.window(), world->store.events(),
         query::BuildContext{world->population.pfx2as(),
                             world->population.geo()},
         1));
@@ -678,6 +680,72 @@ TEST(ServerTest, RejectedPipelinedClientStillReceivesThe429) {
   ::close(busy);
 }
 
+TEST(ServerTest, DrippingClientsCannotStarveTheWorkers) {
+  // Slowloris: more drip clients than workers, each sending one byte a
+  // second. A request must arrive whole within 5 s of its first byte, so
+  // the drips are answered 408 and the workers freed, and /healthz still
+  // answers 200 within 12 s. A receive timeout that re-arms on every byte
+  // lets the drips hold both workers for as long as they keep dripping.
+  ServerConfig config;
+  config.workers = 2;
+  const Server server(config, shared_engine());
+  const std::uint64_t timeouts_before = Metrics::get().request_timeouts.value();
+
+  constexpr int kDrips = 3;
+  constexpr std::string_view kRequest =
+      "GET /healthz HTTP/1.1\r\nX-Drip: 0123456789abcdef\r\n\r\n";
+  std::atomic<bool> stop{false};
+  std::string answers[kDrips];
+  std::vector<std::thread> drips;
+  for (int i = 0; i < kDrips; ++i) {
+    drips.emplace_back([&, i] {
+      const int fd = connect_to(server.port());
+      char chunk[256];
+      for (std::size_t b = 0; b < kRequest.size() && !stop.load(); ++b) {
+        if (::send(fd, &kRequest[b], 1, MSG_NOSIGNAL) != 1) break;
+        // One byte a second, polling for an answer every 100 ms.
+        for (int step = 0; step < 10 && !stop.load(); ++step) {
+          const ssize_t n = ::recv(fd, chunk, sizeof(chunk), MSG_DONTWAIT);
+          if (n > 0) answers[i].append(chunk, static_cast<std::size_t>(n));
+          std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        }
+      }
+      ::close(fd);
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+
+  const auto begin = std::chrono::steady_clock::now();
+  const int fd = connect_to(server.port());
+  // Client-side bound: with starved workers the read times out here
+  // instead of hanging the test.
+  timeval limit{};
+  limit.tv_sec = 12;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &limit, sizeof(limit));
+  const std::string health = fetch(fd, "/healthz");
+  const auto waited = std::chrono::steady_clock::now() - begin;
+  ::close(fd);
+  stop.store(true);
+  for (std::thread& drip : drips) drip.join();
+
+  EXPECT_EQ(status_of(health), 200);
+  EXPECT_LT(waited, std::chrono::seconds(12));
+  int timed_out = 0;
+  for (const std::string& answer : answers) {
+    if (answer.empty()) continue;
+    EXPECT_EQ(answer,
+              "HTTP/1.1 408 Request Timeout\r\n"
+              "Content-Type: application/json\r\n"
+              "Content-Length: 27\r\n"
+              "Connection: close\r\n"
+              "\r\n"
+              "{\"error\":\"request timeout\"}");
+    ++timed_out;
+  }
+  EXPECT_GE(timed_out, 2);
+  EXPECT_GE(Metrics::get().request_timeouts.value(), timeouts_before + 2);
+}
+
 TEST(ServerTest, QueryWithoutSnapshotAnswers503) {
   query::QueryEngine empty_engine;
   ServerConfig config;
@@ -725,7 +793,8 @@ TEST(ServerTest, SnapshotSwapInvalidatesCachedResults) {
   const query::BuildContext ctx{world->population.pfx2as(),
                                 world->population.geo()};
   query::QueryEngine engine;
-  engine.publish(query::Snapshot::from_store(world->store, ctx, 1));
+  engine.publish(query::Snapshot::build(world->store.window(),
+                                        world->store.events(), ctx, 1));
 
   ServerConfig config;
   config.workers = 2;
@@ -736,7 +805,8 @@ TEST(ServerTest, SnapshotSwapInvalidatesCachedResults) {
   EXPECT_NE(body_of(v1).find("\"snapshot_version\":1"), std::string::npos);
   fetch(fd, "/query?agg=summary");  // now served from cache
 
-  engine.publish(query::Snapshot::from_store(world->store, ctx, 2));
+  engine.publish(query::Snapshot::build(world->store.window(),
+                                        world->store.events(), ctx, 2));
   const std::string v2 = fetch(fd, "/query?agg=summary");
   // The version-keyed cache cannot serve the stale body.
   EXPECT_NE(body_of(v2).find("\"snapshot_version\":2"), std::string::npos);

@@ -174,8 +174,8 @@ TEST(CodecTest, EncodingIsDeterministic) {
 
 std::shared_ptr<const query::Snapshot> world_snapshot(
     const sim::World& world, int segment_days) {
-  return query::Snapshot::from_store(
-      world.store,
+  return query::Snapshot::build(
+      world.store.window(), world.store.events(),
       query::BuildContext{world.population.pfx2as(), world.population.geo(),
                           /*threads=*/1, segment_days});
 }

@@ -241,8 +241,9 @@ TEST_F(StreamingTest, MatchesBatchAggregationOnSimulatedWorld) {
   for (const auto& event : world->store.events()) fusion.ingest(event);
   fusion.finish();
 
-  const auto snapshot = query::Snapshot::from_store(
-      world->store, {world->population.pfx2as(), world->population.geo()});
+  const auto snapshot = query::Snapshot::build(
+      world->store.window(), world->store.events(),
+      {world->population.pfx2as(), world->population.geo()});
   const auto attacks = snapshot->daily_attacks(query::Query{});
   const auto targets = query::daily_distinct(*snapshot, query::Query{},
                                              query::DistinctKey::kTarget);

@@ -3,6 +3,7 @@
 #
 # Configures, builds, and tests the project under each checking mode:
 #
+#   debug      Debug build (asserts on), full test suite
 #   hardened   escalated warning set promoted to errors (build only)
 #   asan       AddressSanitizer + UndefinedBehaviorSanitizer, full test suite
 #   tsan       ThreadSanitizer, full test suite
@@ -15,8 +16,8 @@
 #              without --metrics-out, and instrumentation overhead <= 3%
 #
 # Usage:
-#   tools/check.sh            # hardened + asan + tsan + integer + lint +
-#                             # analyze + metrics (+ tidy)
+#   tools/check.sh            # debug + hardened + asan + tsan + integer +
+#                             # lint + analyze + metrics (+ tidy)
 #   tools/check.sh asan lint  # just the named modes
 #
 # Build trees land in build-check-<mode>/ so they never disturb ./build.
@@ -27,7 +28,7 @@ ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 JOBS="${JOBS:-$(nproc 2>/dev/null || echo 2)}"
 MODES=("$@")
 if [ ${#MODES[@]} -eq 0 ]; then
-  MODES=(hardened asan tsan integer lint analyze metrics)
+  MODES=(debug hardened asan tsan integer lint analyze metrics)
   if command -v clang-tidy >/dev/null 2>&1; then
     MODES+=(tidy)
   fi
@@ -59,6 +60,10 @@ for mode in "${MODES[@]}"; do
   echo "== check.sh mode: $mode"
   echo "==================================================================="
   case "$mode" in
+    debug)
+      configure_and_build "$ROOT/build-check-debug" -DCMAKE_BUILD_TYPE=Debug
+      run_tests "$ROOT/build-check-debug"
+      ;;
     hardened)
       configure_and_build "$ROOT/build-check-hardened" -DDOSMETER_HARDENED=ON
       ;;
@@ -112,7 +117,7 @@ for mode in "${MODES[@]}"; do
       configure_and_build "$ROOT/build-check-lint" --target tidy
       ;;
     *)
-      echo "unknown mode: $mode (expected hardened|asan|tsan|integer|lint|analyze|tidy|metrics)" >&2
+      echo "unknown mode: $mode (expected debug|hardened|asan|tsan|integer|lint|analyze|tidy|metrics)" >&2
       exit 2
       ;;
   esac

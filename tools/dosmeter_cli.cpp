@@ -270,22 +270,12 @@ std::shared_ptr<const query::Snapshot> build_snapshot(const Dataset& data,
                                 /*version=*/1);
 }
 
-/// Feeds `events` in canonical order to `ingest`, calling `close_day`
-/// whenever the study day changes; the caller closes the last day.
-template <typename Ingest, typename CloseDay>
-void replay_by_day(std::span<const core::AttackEvent> events,
-                   const StudyWindow& window, Ingest ingest,
-                   CloseDay close_day) {
-  std::vector<core::AttackEvent> sorted(events.begin(), events.end());
+/// The dataset's events in canonical order, as `serve` and `watch` replay.
+std::vector<core::AttackEvent> replay_order(const Loaded& loaded) {
+  std::vector<core::AttackEvent> sorted(loaded.events().begin(),
+                                        loaded.events().end());
   std::sort(sorted.begin(), sorted.end(), core::canonical_less);
-  int open_day = -1;
-  for (const auto& event : sorted) {
-    const auto t = static_cast<UnixSeconds>(event.start);
-    const int day = window.contains(t) ? window.day_of(t) : -1;
-    if (day != open_day && open_day != -1) close_day();
-    open_day = day;
-    ingest(event);
-  }
+  return sorted;
 }
 
 /// The packet-level pipeline's output: parallel telescope detection plus,
@@ -782,19 +772,20 @@ int serve_main(int argc, char** argv) {
             << ", cache " << server_config.cache_bytes
             << " bytes; Ctrl-C to stop)\n";
 
-  // Live feed: replay the dataset through the dispatcher day by day so
-  // /subscribe + /watch clients get a stream instead of a fait accompli.
+  // Live feed: one dispatcher tick per study day so /subscribe + /watch
+  // clients get a stream instead of a fait accompli. The last tick closes
+  // the open day and flushes out-of-window alerts.
   std::thread replay([&] {
-    replay_by_day(
-        loaded.events(), data.scenario.window,
-        [&dispatcher](const core::AttackEvent& event) {
-          dispatcher.ingest(event);
-        },
-        [&dispatcher, tick_millis] {
-          dispatcher.tick();
-          if (tick_millis > 0)
-            std::this_thread::sleep_for(std::chrono::milliseconds(tick_millis));
-        });
+    DayClock clock(data.scenario.window);
+    const auto tick = [&dispatcher, tick_millis](int) {
+      dispatcher.tick();
+      if (tick_millis > 0)
+        std::this_thread::sleep_for(std::chrono::milliseconds(tick_millis));
+    };
+    for (const auto& event : replay_order(loaded)) {
+      clock.advance(event.start, tick);
+      dispatcher.ingest(event);
+    }
     dispatcher.tick();
     std::cerr << "[dosmeter] replay complete: "
               << dispatcher.events_ingested()
@@ -861,13 +852,14 @@ int watch_main(int argc, char** argv) {
   // alerts dispatch alongside the per-event kNewAttack alerts.
   core::StreamingFusion fusion(config.window, {},
                                [](const core::DaySummary&) {}, &dispatcher);
-  replay_by_day(
-      loaded.events(), config.window,
-      [&](const core::AttackEvent& event) {
-        fusion.ingest(event);
-        dispatcher.ingest(event);
-      },
-      [&dispatcher] { dispatcher.tick(); });
+  // One tick per study day; the last closes the open day and flushes
+  // out-of-window alerts.
+  DayClock clock(config.window);
+  for (const auto& event : replay_order(loaded)) {
+    clock.advance(event.start, [&dispatcher](int) { dispatcher.tick(); });
+    fusion.ingest(event);
+    dispatcher.ingest(event);
+  }
   fusion.finish();
   dispatcher.tick();
 
@@ -1025,8 +1017,9 @@ int report_main(int argc, char** argv) {
   std::cerr << "[dosmeter] " << world->store.size() << " detected events ("
             << world->truth.size() << " ground-truth attacks)\n";
 
-  const auto snapshot = query::Snapshot::from_store(
-      world->store, {world->population.pfx2as(), world->population.geo()});
+  const auto snapshot = query::Snapshot::build(
+      world->store.window(), world->store.events(),
+      {world->population.pfx2as(), world->population.geo()});
   const dps::Classifier classifier(world->providers, world->names);
   const auto timelines = dps::all_timelines(world->dns, classifier);
   const core::ImpactAnalysis impact(world->store, world->dns);

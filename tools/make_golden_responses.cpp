@@ -157,8 +157,8 @@ int main(int argc, char** argv) {
 
   const auto world = sim::build_world(sim::ScenarioConfig::small());
   query::QueryEngine main_engine;
-  main_engine.publish(query::Snapshot::from_store(
-      world->store,
+  main_engine.publish(query::Snapshot::build(
+      world->store.window(), world->store.events(),
       query::BuildContext{world->population.pfx2as(),
                           world->population.geo()},
       1));
