@@ -15,15 +15,15 @@ namespace {
 dosm::core::TaxonomyCounts taxonomy_with_clipped_attacks(
     const dosm::sim::World& world, int clip_days) {
   using namespace dosm;
-  core::EventStore clipped(world.window);
   const double lo =
       static_cast<double>(world.window.day_start(clip_days));
   const double hi = static_cast<double>(
       world.window.day_start(world.window.num_days() - clip_days));
+  std::vector<core::AttackEvent> kept;
   for (const auto& event : world.store.events()) {
-    if (event.start >= lo && event.start < hi) clipped.add(event);
+    if (event.start >= lo && event.start < hi) kept.push_back(event);
   }
-  clipped.finalize();
+  const core::EventStore clipped(world.window, std::move(kept));
 
   const dps::Classifier classifier(world.providers, world.names);
   const auto timelines = dps::all_timelines(world.dns, classifier);

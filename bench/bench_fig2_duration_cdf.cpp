@@ -30,10 +30,9 @@ int main() {
       "honeypot: 50% <= 255 s, top 10% >= 40 m, mean 18 m, median 255 s");
 
   const auto& world = bench::shared_world();
-  const auto telescope =
-      world.store.duration_distribution(core::SourceFilter::kTelescope);
-  const auto honeypot =
-      world.store.duration_distribution(core::SourceFilter::kHoneypot);
+  EmpiricalDistribution telescope, honeypot;
+  for (const auto& event : world.store.events())
+    (event.is_telescope() ? telescope : honeypot).add(event.duration());
 
   print_cdf(telescope, "Telescope", 48 * 60, 454);
   print_cdf(honeypot, "Honeypot", 18 * 60, 255);

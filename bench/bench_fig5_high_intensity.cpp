@@ -10,10 +10,9 @@ int main() {
 
   const auto& world = bench::shared_world();
   const auto& snapshot = bench::shared_snapshot();
-  const double telescope_mean =
-      world.store.mean_intensity(core::EventSource::kTelescope);
-  const double honeypot_mean =
-      world.store.mean_intensity(core::EventSource::kHoneypot);
+  const core::IntensityScale scale(world.store.events());
+  const double telescope_mean = scale.mean(core::EventSource::kTelescope);
+  const double honeypot_mean = scale.mean(core::EventSource::kHoneypot);
   const auto all = snapshot.daily_attacks(query::Query{});
   // Medium+ is per source (raw intensity at or above that source's mean),
   // so it is the sum of one thresholded series per source.

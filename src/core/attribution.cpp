@@ -4,6 +4,8 @@
 #include <map>
 #include <unordered_set>
 
+#include "core/joint.h"
+
 namespace dosm::core {
 
 std::vector<PeakParty> attribute_peak(const EventStore& store,
@@ -19,8 +21,11 @@ std::vector<PeakParty> attribute_peak(const EventStore& store,
   };
   std::map<meta::Asn, Accumulator> parties;
 
+  const JointAttackAnalysis joint(store);
   const auto& window = store.window();
-  for (const auto& event : store.events()) {
+  const auto events = store.events();
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const auto& event = events[i];
     if (day < 0 || window.event_day(event.start) != day) continue;
     const auto sites = dns.sites_on(event.target, day);
     if (sites.empty()) continue;
@@ -32,14 +37,7 @@ std::vector<PeakParty> attribute_peak(const EventStore& store,
       const auto record = dns.record_on(site, day);
       if (record && record->ns != dns::kNoName) ++party.ns_votes[record->ns];
     }
-    // Joint attack on this IP today: overlapping event from the other source.
-    for (const auto i : store.events_for(event.target)) {
-      const auto& other = store.events()[i];
-      if (other.source != event.source && event.overlaps(other)) {
-        party.joint = true;
-        break;
-      }
-    }
+    if (joint.joint_event(i)) party.joint = true;
   }
 
   std::vector<PeakParty> out;

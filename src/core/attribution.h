@@ -30,7 +30,9 @@ struct PeakParty {
 };
 
 /// Attributes the affected Web sites of `day` to parties, descending by
-/// affected sites. `store` must be finalized and `dns` reverse-indexed.
+/// affected sites. `dns` must be reverse-indexed. A party is joint-attacked
+/// when one of its events that day took part in a joint attack
+/// (JointAttackAnalysis).
 std::vector<PeakParty> attribute_peak(const EventStore& store,
                                       const dns::SnapshotStore& dns,
                                       const dns::NameTable& names, int day,

@@ -9,10 +9,13 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "amppot/consolidator.h"
 #include "common/time.h"
+#include "meta/geo.h"
 #include "net/ipv4.h"
 #include "telescope/flow_table.h"
 
@@ -33,8 +36,8 @@ struct AttackEvent {
 
   /// Telescope: maximum backscatter packets/sec in any minute.
   /// Honeypot: average requests/sec to a single reflector.
-  /// The two scales are incomparable; normalization happens per-source in
-  /// the EventStore.
+  /// The two scales are incomparable; IntensityScale normalizes each
+  /// against its own source.
   double intensity = 0.0;
 
   std::uint64_t packets = 0;  // backscatter packets / reflector requests
@@ -74,5 +77,50 @@ AttackEvent from_amppot(const amppot::AmpPotEvent& event);
 /// reflection protocol); used to sort dumps deterministically so equal event
 /// sets serialize byte-identically (the CLI --threads determinism check).
 bool canonical_less(const AttackEvent& a, const AttackEvent& b);
+
+/// The fusion step: lifts both detectors' events into the unified model and
+/// orders them by canonical_less.
+std::vector<AttackEvent> fuse(
+    std::span<const telescope::TelescopeEvent> telescope_events,
+    std::span<const amppot::AmpPotEvent> honeypot_events);
+
+/// Which events an aggregate covers.
+enum class SourceFilter : std::uint8_t { kTelescope, kHoneypot, kCombined };
+
+bool matches(SourceFilter filter, EventSource source);
+std::string to_string(SourceFilter filter);
+
+/// Table-4 row.
+struct CountryCount {
+  meta::CountryCode country;
+  std::uint64_t targets = 0;
+  double share = 0.0;
+};
+
+/// Per-source intensity scale (§4, Table 9, Figures 5 and 10). Telescope
+/// pps and honeypot rps are incomparable, so each event is measured against
+/// the maximum and mean of its own source over one event list.
+class IntensityScale {
+ public:
+  /// Maximum and mean per source; the means sum in span order.
+  explicit IntensityScale(std::span<const AttackEvent> events);
+
+  /// Raw intensity divided by its source's maximum (linear, not
+  /// log-scaled), in [0, 1]; 0 when that maximum is 0.
+  double normalized(const AttackEvent& event) const;
+
+  /// "Medium intensity or higher": raw intensity at least its source's
+  /// mean (§4, Fig. 5).
+  bool medium_or_higher(const AttackEvent& event) const;
+
+  /// Mean raw intensity of a source (the Figure-5 threshold).
+  double mean(EventSource source) const {
+    return mean_[static_cast<std::size_t>(source)];
+  }
+
+ private:
+  double max_[2] = {0.0, 0.0};
+  double mean_[2] = {0.0, 0.0};
+};
 
 }  // namespace dosm::core

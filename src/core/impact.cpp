@@ -41,14 +41,13 @@ int DomainAttackInfo::latest_long_attack_on_or_before(int day, double min_s) con
 
 ImpactAnalysis::ImpactAnalysis(const EventStore& store,
                                const dns::SnapshotStore& dns)
-    : store_(store),
-      dns_(dns),
-      affected_daily_(store.window().num_days()),
+    : affected_daily_(store.window().num_days()),
       affected_daily_medium_(store.window().num_days()),
       cohosting_(7),
       info_(dns.num_domains()) {
-  // Per-day distinct affected domains. Events are time-ordered after
-  // finalize(), so a single sweep keeps only the open day's sets alive.
+  const IntensityScale scale(store.events());
+  // Per-day distinct affected domains. The store's events are time-ordered,
+  // so a single sweep keeps only the open day's sets alive.
   std::unordered_set<dns::DomainId> day_sites, day_sites_medium;
   DayClock clock(store.window());
   const auto close_day = [&](int day) {
@@ -70,7 +69,7 @@ ImpactAnalysis::ImpactAnalysis(const EventStore& store,
     const int day = clock.advance(event.start, close_day);
     if (day < 0) continue;
 
-    const auto sites = dns_.sites_on(event.target, day);
+    const auto sites = dns.sites_on(event.target, day);
     const bool first_time = seen_targets.insert(event.target.value()).second;
     if (first_time && !sites.empty()) {
       ++web_hosting_targets_;
@@ -93,9 +92,8 @@ ImpactAnalysis::ImpactAnalysis(const EventStore& store,
       if (event.reflection == amppot::ReflectionProtocol::kNtp) ++ntp_on_web;
     }
 
-    const bool medium = store_.is_medium_or_higher(event);
-    const auto norm =
-        static_cast<float>(store_.normalized_intensity(event));
+    const bool medium = scale.medium_or_higher(event);
+    const auto norm = static_cast<float>(scale.normalized(event));
     const auto duration = static_cast<float>(event.duration());
     for (const auto domain : sites) {
       day_sites.insert(domain);
@@ -113,7 +111,7 @@ ImpactAnalysis::ImpactAnalysis(const EventStore& store,
   }
 
   // Denominator: domains that ever had a Web site.
-  dns_.for_each_domain([&](dns::DomainId, const dns::DomainEntry& entry) {
+  dns.for_each_domain([&](dns::DomainId, const dns::DomainEntry& entry) {
     for (const auto& change : entry.changes) {
       if (change.record.has_website()) {
         ++web_domains_;

@@ -50,8 +50,8 @@ struct DomainAttackInfo {
 
 class ImpactAnalysis {
  public:
-  /// Runs the full join. `store` must be finalized; `dns` must have its
-  /// reverse index built. References must outlive the analysis.
+  /// Runs the full join. `dns` must have its reverse index built. Intensities
+  /// are normalized on the IntensityScale of this store's events.
   ImpactAnalysis(const EventStore& store, const dns::SnapshotStore& dns);
 
   /// Figure 7: unique Web sites on attacked IPs, per day.
@@ -101,9 +101,6 @@ class ImpactAnalysis {
   std::vector<std::pair<int, double>> top_peaks(std::size_t n) const;
 
  private:
-  const EventStore& store_;
-  const dns::SnapshotStore& dns_;
-
   DailySeries affected_daily_;
   DailySeries affected_daily_medium_;
   LogBinHistogram cohosting_;

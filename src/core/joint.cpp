@@ -2,14 +2,29 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 
 namespace dosm::core {
 
 JointAttackAnalysis::JointAttackAnalysis(const EventStore& store)
-    : store_(store) {
+    : joint_event_(store.size(), false) {
   const auto events = store.events();
-  for (const auto& target : store.targets(SourceFilter::kCombined)) {
-    const auto indices = store.events_for(target);
+  // Event indices grouped by ascending target, time-ordered within one.
+  std::vector<std::uint32_t> by_target(events.size());
+  std::iota(by_target.begin(), by_target.end(), 0u);
+  std::sort(by_target.begin(), by_target.end(),
+            [events](std::uint32_t a, std::uint32_t b) {
+              if (events[a].target != events[b].target)
+                return events[a].target < events[b].target;
+              return a < b;
+            });
+
+  for (std::size_t lo = 0, hi = 0; lo < by_target.size(); lo = hi) {
+    const net::Ipv4Addr target = events[by_target[lo]].target;
+    while (hi < by_target.size() && events[by_target[hi]].target == target)
+      ++hi;
+    const std::span<const std::uint32_t> indices(by_target.data() + lo,
+                                                 hi - lo);
     bool has_telescope = false, has_honeypot = false;
     for (const auto i : indices) {
       if (events[i].is_telescope()) has_telescope = true;
@@ -20,29 +35,25 @@ JointAttackAnalysis::JointAttackAnalysis(const EventStore& store)
 
     // Pairwise overlap check; per-target event counts are small.
     bool joint = false;
-    std::vector<bool> telescope_used(indices.size(), false);
-    std::vector<bool> honeypot_used(indices.size(), false);
-    for (std::size_t a = 0; a < indices.size(); ++a) {
-      const auto& ea = events[indices[a]];
-      if (!ea.is_telescope()) continue;
-      for (std::size_t b = 0; b < indices.size(); ++b) {
-        const auto& eb = events[indices[b]];
-        if (!eb.is_honeypot()) continue;
-        if (ea.overlaps(eb)) {
+    for (const auto a : indices) {
+      if (!events[a].is_telescope()) continue;
+      for (const auto b : indices) {
+        if (events[b].is_honeypot() && events[a].overlaps(events[b])) {
           joint = true;
-          telescope_used[a] = true;
-          honeypot_used[b] = true;
+          joint_event_[a] = true;
+          joint_event_[b] = true;
         }
       }
     }
     if (!joint) continue;
     joint_targets_.push_back(target);
-    for (std::size_t a = 0; a < indices.size(); ++a)
-      if (telescope_used[a]) telescope_joint_.push_back(events[indices[a]]);
-    for (std::size_t b = 0; b < indices.size(); ++b)
-      if (honeypot_used[b]) honeypot_joint_.push_back(events[indices[b]]);
+    for (const auto i : indices)
+      if (joint_event_[i] && events[i].is_telescope())
+        telescope_joint_.push_back(events[i]);
+    for (const auto i : indices)
+      if (joint_event_[i] && events[i].is_honeypot())
+        honeypot_joint_.push_back(events[i]);
   }
-  std::sort(joint_targets_.begin(), joint_targets_.end());
 }
 
 std::vector<AsnCount> JointAttackAnalysis::asn_ranking(

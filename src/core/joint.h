@@ -21,8 +21,7 @@ struct AsnCount {
 
 class JointAttackAnalysis {
  public:
-  /// Computes the joint sets once; `store` must be finalized and must
-  /// outlive the analysis.
+  /// Groups the store's events by target and computes the joint sets once.
   explicit JointAttackAnalysis(const EventStore& store);
 
   /// Targets appearing in both datasets (282 k in the paper).
@@ -45,6 +44,10 @@ class JointAttackAnalysis {
     return honeypot_joint_;
   }
 
+  /// True when the store's event `index` took part in a joint attack: an
+  /// overlapping event from the other source hit the same target.
+  bool joint_event(std::size_t index) const { return joint_event_[index]; }
+
   /// Joint targets per origin AS, descending.
   std::vector<AsnCount> asn_ranking(const meta::PrefixToAsMap& pfx2as) const;
 
@@ -52,11 +55,11 @@ class JointAttackAnalysis {
   std::vector<CountryCount> country_ranking(const meta::GeoDatabase& geo) const;
 
  private:
-  const EventStore& store_;
   std::uint64_t common_targets_ = 0;
   std::vector<net::Ipv4Addr> joint_targets_;
   std::vector<AttackEvent> telescope_joint_;
   std::vector<AttackEvent> honeypot_joint_;
+  std::vector<bool> joint_event_;  // parallel to the store's events
 };
 
 }  // namespace dosm::core

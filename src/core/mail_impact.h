@@ -21,8 +21,7 @@ namespace dosm::core {
 
 class MailImpactAnalysis {
  public:
-  /// Runs the join. `store` must be finalized; `dns` must have its reverse
-  /// index built. References must outlive the analysis.
+  /// Runs the join. `dns` must have its reverse index built.
   MailImpactAnalysis(const EventStore& store, const dns::SnapshotStore& dns);
 
   /// Unique domains whose mail infrastructure sat on an attacked IP, per

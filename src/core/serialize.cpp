@@ -147,6 +147,8 @@ void save_events(const std::string& path, std::span<const AttackEvent> events) {
   std::ofstream out(path, std::ios::binary);
   if (!out) throw SerializeError("cannot open " + path + " for writing");
   write_events(out, events);
+  // A dump smaller than the stream buffer meets a full disk only here.
+  if (!out.flush()) throw SerializeError("event dump write failed: " + path);
 }
 
 std::vector<AttackEvent> load_events(const std::string& path) {

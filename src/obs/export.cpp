@@ -133,7 +133,9 @@ void write_metrics_file(const std::string& path,
       path.size() >= 5 && path.compare(path.size() - 5, 5, ".prom") == 0;
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) throw std::runtime_error("obs: cannot open metrics file: " + path);
-  out << (prom ? to_prometheus(snap) : to_json(snap));
+  // Flushed before the check: output smaller than the stream buffer meets a
+  // full disk only at the flush.
+  out << (prom ? to_prometheus(snap) : to_json(snap)) << std::flush;
   if (!out) throw std::runtime_error("obs: failed writing metrics file: " + path);
 }
 

@@ -1,10 +1,10 @@
 // Columnar storage for the fused attack-event dataset (query subsystem).
 //
-// The batch EventStore and the streaming path both hold AttackEvent structs
-// (array-of-structs). Ad-hoc queries touch only a few hot fields per
-// predicate, so the serving layer re-materializes those fields as columns
-// (struct-of-arrays): one contiguous vector per field, rows sorted by
-// (start, target, source). Metadata joins that the analyses repeat per
+// The fused event list (core::EventStore) and the streaming path both hold
+// AttackEvent structs (array-of-structs). Ad-hoc queries touch only a few
+// hot fields per predicate, so the serving layer re-materializes those
+// fields as columns (struct-of-arrays): one contiguous vector per field,
+// rows sorted by (start, target, source). Metadata joins that the analyses repeat per
 // event — origin ASN (pfx2as) and country (geo) — are resolved once at
 // build time and stored as columns of their own.
 //

@@ -27,7 +27,7 @@
 #include <optional>
 #include <string>
 
-#include "core/event_store.h"
+#include "core/event.h"
 #include "meta/geo.h"
 #include "meta/pfx2as.h"
 #include "net/ipv4.h"

@@ -136,30 +136,20 @@ class BudgetState {
   std::uint64_t matched_ = 0;
 };
 
+std::vector<TieredSlot> resident_slots(
+    std::vector<std::shared_ptr<const FrameSegment>> segments) {
+  std::vector<TieredSlot> slots;
+  slots.reserve(segments.size());
+  for (auto& segment : segments) slots.push_back({std::move(segment), {}});
+  return slots;
+}
+
 }  // namespace
 
 Snapshot::Snapshot(StudyWindow window,
                    std::vector<std::shared_ptr<const FrameSegment>> segments,
                    std::uint64_t version)
-    : window_(window), segments_(std::move(segments)), version_(version) {
-  meta_.reserve(segments_.size());
-  bases_.reserve(segments_.size());
-  double prev_max = -1.0e300;
-  bool first = true;
-  for (const auto& segment : segments_) {
-    if (!segment || segment->size() == 0)
-      throw std::invalid_argument("Snapshot: null or empty segment");
-    if (!first && segment->start_min() <= prev_max)
-      throw std::invalid_argument(
-          "Snapshot: segments must cover strictly increasing start ranges");
-    first = false;
-    prev_max = segment->start_max();
-    meta_.push_back({static_cast<std::uint32_t>(segment->size()),
-                     segment->start_min(), segment->start_max()});
-    bases_.push_back(static_cast<std::uint32_t>(total_rows_));
-    total_rows_ += segment->size();
-  }
-}
+    : Snapshot(window, resident_slots(std::move(segments)), version) {}
 
 Snapshot::Snapshot(StudyWindow window, std::vector<TieredSlot> slots,
                    std::uint64_t version)
@@ -180,7 +170,8 @@ Snapshot::Snapshot(StudyWindow window, std::vector<TieredSlot> slots,
     } else {
       if (slot.cold.provider == nullptr || slot.cold.rows == 0 ||
           !(slot.cold.start_min <= slot.cold.start_max))
-        throw std::invalid_argument("Snapshot: malformed cold segment ref");
+        throw std::invalid_argument(
+            "Snapshot: null segment or malformed cold segment ref");
       meta = {slot.cold.rows, slot.cold.start_min, slot.cold.start_max};
       ++num_cold_;
     }

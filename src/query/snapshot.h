@@ -34,7 +34,7 @@
 #include <vector>
 
 #include "common/stats.h"
-#include "core/event_store.h"
+#include "core/event.h"
 #include "query/budget.h"
 #include "query/build_context.h"
 #include "query/event_frame.h"
@@ -48,8 +48,9 @@ namespace dosm::query {
 class Snapshot {
  public:
   /// Assembles a snapshot over already-sealed segments (must be in bucket
-  /// order; see segment.h). Prefer build() for batch data —
-  /// this is the streaming publisher's structural-sharing path.
+  /// order; see segment.h): the tiered constructor with every slot
+  /// resident. Prefer build() for batch data — this is the streaming
+  /// publisher's structural-sharing path.
   Snapshot(StudyWindow window,
            std::vector<std::shared_ptr<const FrameSegment>> segments,
            std::uint64_t version);
@@ -168,7 +169,7 @@ class Snapshot {
 
   StudyWindow window_;
   std::vector<std::shared_ptr<const FrameSegment>> segments_;  // null = cold
-  std::vector<ColdSegmentRef> cold_;  // parallel to segments_ when tiered
+  std::vector<ColdSegmentRef> cold_;  // parallel: read where segments_ is null
   std::vector<SlotMeta> meta_;        // parallel: rows + start bounds
   std::vector<std::uint32_t> bases_;  // global row id of each segment's row 0
   std::size_t num_cold_ = 0;

@@ -23,8 +23,7 @@ World::World(const ScenarioConfig& cfg)
       names(),
       dns(cfg.window.num_days()),
       population(rng_, cfg.population),
-      hosting(rng_, population, providers, names, dns, cfg.hosting),
-      store(cfg.window) {
+      hosting(rng_, population, providers, names, dns, cfg.hosting) {
   Attacker attacker(rng_.next_u64(), population, hosting, window,
                     cfg.attacker);
   truth = attacker.generate();
@@ -39,9 +38,8 @@ World::World(const ScenarioConfig& cfg)
   honeypot_events = std::move(observed.honeypot);
 
   dns.build_reverse_index();
-  store.add_telescope(telescope_events);
-  store.add_amppot(honeypot_events);
-  store.finalize();
+  store = core::EventStore(window,
+                           core::fuse(telescope_events, honeypot_events));
 }
 
 std::unique_ptr<World> build_world(const ScenarioConfig& config) {

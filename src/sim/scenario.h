@@ -62,7 +62,7 @@ class World {
   std::vector<telescope::TelescopeEvent> telescope_events;
   std::vector<amppot::AmpPotEvent> honeypot_events;
 
-  /// Fused, finalized event store over both detectors.
+  /// Both detectors' events, fused in canonical order.
   core::EventStore store;
 };
 

@@ -4,6 +4,7 @@
 
 #include <map>
 
+#include "common/stats.h"
 #include "core/ports.h"
 #include "net/headers.h"
 #include "sim/attacker.h"

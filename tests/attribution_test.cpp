@@ -35,14 +35,15 @@ class AttributionTest : public ::testing::Test {
     event.end = event.start + 600.0;
     event.intensity = 1.0;
     event.ip_proto = 6;
-    store_.add(event);
+    events_.push_back(event);
   }
 
   std::vector<PeakParty> run(int day) {
-    store_.finalize();
     dns_.build_reverse_index();
-    return attribute_peak(store_, dns_, names_, day, pfx2as_, registry_);
+    return attribute_peak(store(), dns_, names_, day, pfx2as_, registry_);
   }
+
+  EventStore store() const { return EventStore(window_, events_); }
 
   StudyWindow window_{};
   double t0_;
@@ -50,7 +51,7 @@ class AttributionTest : public ::testing::Test {
   dns::SnapshotStore dns_;
   meta::PrefixToAsMap pfx2as_;
   meta::AsRegistry registry_;
-  EventStore store_{window_};
+  std::vector<AttackEvent> events_;
 };
 
 TEST_F(AttributionTest, GroupsByOriginAsAndRanksBySites) {

@@ -3,11 +3,12 @@
 # compares each paper-reproduction binary's exit code and stdout with the
 # checked-in <slug>.txt next to the manifest, byte for byte. These are the
 # printed tables and figures (Table 1-9, Figures 1-11, the joint-attack,
-# mail and Web-port analyses, the quickstart example) and the two streaming
-# demos (streaming_monitor drives fusion, query_dashboard the snapshot
-# publisher), so any change to the counting or day-closing rules behind
-# them shows up as a diff. Stderr carries progress chatter only and is not
-# pinned.
+# mail and Web-port analyses, the §6 bounding check, the quickstart,
+# hoster_under_attack and dps_migration_study examples) and the two
+# streaming demos (streaming_monitor drives fusion, query_dashboard the
+# snapshot publisher), so any change to the counting or day-closing rules
+# behind them shows up as a diff. Stderr carries progress chatter only and
+# is not pinned.
 #
 #   bench_golden_test.sh BUILD_DIR GOLDEN_DIR             compare
 #   bench_golden_test.sh --record BUILD_DIR GOLDEN_DIR    rewrite transcripts

@@ -134,14 +134,13 @@ TEST(DayClockTest, EveryConsumerClosesTheSameDays) {
     e.intensity = 1.0;
     return e;
   };
-  core::EventStore store(kWindow);
-  store.add(event(c, at(0, -3600.0), EventSource::kTelescope));
-  store.add(event(a, at(1), EventSource::kTelescope));
-  store.add(event(b, at(1, 7200.0), EventSource::kHoneypot));
-  store.add(event(a, at(3), EventSource::kTelescope));
-  store.add(event(b, static_cast<double>(kWindow.end_time()) + 60.0,
-                  EventSource::kHoneypot));
-  store.finalize();
+  const core::EventStore store(
+      kWindow, {event(c, at(0, -3600.0), EventSource::kTelescope),
+                event(a, at(1), EventSource::kTelescope),
+                event(b, at(1, 7200.0), EventSource::kHoneypot),
+                event(a, at(3), EventSource::kTelescope),
+                event(b, static_cast<double>(kWindow.end_time()) + 60.0,
+                      EventSource::kHoneypot)});
 
   std::vector<int> summaries;
   core::StreamingFusion fusion(

@@ -1,6 +1,9 @@
-// EventStore tests: fusion, normalization, and hand-computed rollup fixtures
-// (Table 1, Figs. 1/5, Table 4) run on the query executor and its oracle.
+// EventStore tests: fusion, canonical order, the per-source intensity scale,
+// and hand-computed rollup fixtures (Table 1, Figs. 1/5, Table 4) run on the
+// query executor and its oracle.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "core/event_store.h"
 #include "query/scan.h"
@@ -99,13 +102,13 @@ TEST_F(EventStoreTest, LiftsSourceEventsCorrectly) {
 }
 
 TEST_F(EventStoreTest, DistinctCountsTable1Rollups) {
-  EventStore store(window_);
-  store.add(telescope_event(Ipv4Addr(10, 0, 0, 1), t0_ + 100, 120, 1.0));
-  store.add(telescope_event(Ipv4Addr(10, 0, 0, 2), t0_ + 200, 120, 1.0));
-  store.add(telescope_event(Ipv4Addr(10, 0, 1, 1), t0_ + 300, 120, 1.0));
-  store.add(honeypot_event(Ipv4Addr(20, 0, 0, 1), t0_ + 400, 300, 50.0));
-  store.add(honeypot_event(Ipv4Addr(10, 0, 0, 1), t0_ + 500, 300, 50.0));
-  store.finalize();
+  const EventStore store(window_, {
+      telescope_event(Ipv4Addr(10, 0, 0, 1), t0_ + 100, 120, 1.0),
+      telescope_event(Ipv4Addr(10, 0, 0, 2), t0_ + 200, 120, 1.0),
+      telescope_event(Ipv4Addr(10, 0, 1, 1), t0_ + 300, 120, 1.0),
+      honeypot_event(Ipv4Addr(20, 0, 0, 1), t0_ + 400, 300, 50.0),
+      honeypot_event(Ipv4Addr(10, 0, 0, 1), t0_ + 500, 300, 50.0),
+  });
 
   on_both(store, [](const auto& exec) {
     const Query combined;
@@ -123,40 +126,54 @@ TEST_F(EventStoreTest, DistinctCountsTable1Rollups) {
   });
 }
 
-TEST_F(EventStoreTest, EventsForTargetAreTimeOrdered) {
-  EventStore store(window_);
-  const Ipv4Addr target(10, 0, 0, 1);
-  store.add(telescope_event(target, t0_ + 900, 60, 1.0));
-  store.add(telescope_event(target, t0_ + 100, 60, 1.0));
-  store.add(honeypot_event(target, t0_ + 500, 60, 5.0));
-  store.finalize();
-  const auto indices = store.events_for(target);
-  ASSERT_EQ(indices.size(), 3u);
-  double prev = 0.0;
-  for (const auto i : indices) {
-    EXPECT_GE(store.events()[i].start, prev);
-    prev = store.events()[i].start;
-  }
-  EXPECT_TRUE(store.events_for(Ipv4Addr(9, 9, 9, 9)).empty());
-}
+TEST_F(EventStoreTest, SortsShuffledEventsCanonically) {
+  // (start, target) ties across the two sources and across reflection
+  // protocols, shuffled, with a honeypot event ahead of the telescope event
+  // it ties with: canonical_less breaks ties by source, then by protocol.
+  const Ipv4Addr a(10, 0, 0, 1), b(10, 0, 0, 2);
+  const auto reflected = [&](Ipv4Addr target,
+                             amppot::ReflectionProtocol protocol) {
+    auto event = honeypot_event(target, t0_ + 100, 60, 5.0);
+    event.reflection = protocol;
+    return event;
+  };
+  using enum amppot::ReflectionProtocol;
+  std::vector<AttackEvent> events{
+      reflected(a, kNtp),
+      telescope_event(b, t0_ + 50, 60, 1.0),
+      reflected(b, kNtp),
+      reflected(a, kCharGen),
+      telescope_event(a, t0_ + 100, 60, 1.0),
+      reflected(b, kDns),
+      telescope_event(b, t0_ + 100, 60, 1.0),
+      telescope_event(a, t0_ + 20, 60, 1.0),
+  };
 
-TEST_F(EventStoreTest, RequiresFinalize) {
-  EventStore store(window_);
-  store.add(telescope_event(Ipv4Addr(10, 0, 0, 1), t0_, 60, 1.0));
-  EXPECT_THROW(store.events_for(Ipv4Addr(10, 0, 0, 1)), std::logic_error);
-  EXPECT_THROW(store.targets(SourceFilter::kCombined), std::logic_error);
-  store.finalize();
-  EXPECT_NO_THROW(store.targets(SourceFilter::kCombined));
+  const EventStore store(window_, events);
+  std::sort(events.begin(), events.end(), canonical_less);
+  ASSERT_EQ(store.size(), events.size());
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const auto& got = store.events()[i];
+    EXPECT_EQ(got.start, events[i].start) << i;
+    EXPECT_EQ(got.target, events[i].target) << i;
+    EXPECT_EQ(got.source, events[i].source) << i;
+    EXPECT_EQ(got.reflection, events[i].reflection) << i;
+  }
+  // The (t0 + 100, a) tie: telescope, then CharGen, then NTP.
+  EXPECT_TRUE(store.events()[2].is_telescope());
+  EXPECT_EQ(store.events()[3].reflection, kCharGen);
+  EXPECT_EQ(store.events()[4].reflection, kNtp);
 }
 
 TEST_F(EventStoreTest, DailySeriesPlaceEventsOnStartDay) {
-  EventStore store(window_);
-  // Two events on day 0, one on day 1, one crossing midnight counts on day 0.
-  store.add(telescope_event(Ipv4Addr(10, 0, 0, 1), t0_ + 1000, 60, 1.0));
-  store.add(telescope_event(Ipv4Addr(10, 0, 0, 2), t0_ + 2000, 60, 1.0));
-  store.add(telescope_event(Ipv4Addr(10, 0, 0, 3), t0_ + 86000, 3600, 1.0));
-  store.add(telescope_event(Ipv4Addr(10, 0, 0, 4), t0_ + 86400 + 100, 60, 1.0));
-  store.finalize();
+  const EventStore store(window_, {
+      // Two events on day 0, one on day 1, one crossing midnight counts on
+      // day 0.
+      telescope_event(Ipv4Addr(10, 0, 0, 1), t0_ + 1000, 60, 1.0),
+      telescope_event(Ipv4Addr(10, 0, 0, 2), t0_ + 2000, 60, 1.0),
+      telescope_event(Ipv4Addr(10, 0, 0, 3), t0_ + 86000, 3600, 1.0),
+      telescope_event(Ipv4Addr(10, 0, 0, 4), t0_ + 86400 + 100, 60, 1.0),
+  });
   const auto telescope = Query{}.from_source(SourceFilter::kTelescope);
   const auto day0 = Query(telescope).between(t0_, t0_ + 86400);
   on_both(store, [&](const auto& exec) {
@@ -170,11 +187,11 @@ TEST_F(EventStoreTest, DailySeriesPlaceEventsOnStartDay) {
 }
 
 TEST_F(EventStoreTest, DailyDistinctDeduplicatesTargets) {
-  EventStore store(window_);
   const Ipv4Addr target(10, 0, 0, 1);
-  store.add(telescope_event(target, t0_ + 100, 60, 1.0));
-  store.add(telescope_event(target, t0_ + 5000, 60, 1.0));
-  store.finalize();
+  const EventStore store(window_, {
+      telescope_event(target, t0_ + 100, 60, 1.0),
+      telescope_event(target, t0_ + 5000, 60, 1.0),
+  });
   const auto day0 = Query{}.between(t0_, t0_ + 86400);
   on_both(store, [&](const auto& exec) {
     EXPECT_DOUBLE_EQ(exec.daily_attacks(Query{}).at(0), 2.0);
@@ -183,21 +200,25 @@ TEST_F(EventStoreTest, DailyDistinctDeduplicatesTargets) {
 }
 
 TEST_F(EventStoreTest, MediumIntensityFilterUsesSourceMean) {
-  EventStore store(window_);
-  // Telescope intensities: 1, 1, 10 (mean 4): only the 10 is medium+.
-  store.add(telescope_event(Ipv4Addr(10, 0, 0, 1), t0_ + 100, 60, 1.0));
-  store.add(telescope_event(Ipv4Addr(10, 0, 0, 2), t0_ + 200, 60, 1.0));
-  store.add(telescope_event(Ipv4Addr(10, 0, 0, 3), t0_ + 300, 60, 10.0));
-  // Honeypot intensities: all 50 (mean 50): all medium+ (>=).
-  store.add(honeypot_event(Ipv4Addr(20, 0, 0, 1), t0_ + 400, 100, 50.0));
-  store.finalize();
-  EXPECT_DOUBLE_EQ(store.mean_intensity(EventSource::kTelescope), 4.0);
+  const EventStore store(window_, {
+      // Telescope intensities: 1, 1, 10 (mean 4): only the 10 is medium+.
+      telescope_event(Ipv4Addr(10, 0, 0, 1), t0_ + 100, 60, 1.0),
+      telescope_event(Ipv4Addr(10, 0, 0, 2), t0_ + 200, 60, 1.0),
+      telescope_event(Ipv4Addr(10, 0, 0, 3), t0_ + 300, 60, 10.0),
+      // Honeypot intensities: all 50 (mean 50): all medium+ (>=).
+      honeypot_event(Ipv4Addr(20, 0, 0, 1), t0_ + 400, 100, 50.0),
+  });
+  const IntensityScale scale(store.events());
+  EXPECT_DOUBLE_EQ(scale.mean(EventSource::kTelescope), 4.0);
+  EXPECT_FALSE(scale.medium_or_higher(store.events()[1]));
+  EXPECT_TRUE(scale.medium_or_higher(store.events()[2]));
+  EXPECT_TRUE(scale.medium_or_higher(store.events()[3]));
   // Figure 5's medium+ count is one thresholded query per source, summed:
   // here the 10-pps telescope event and the honeypot event.
   const auto telescope = Query{}.from_source(SourceFilter::kTelescope).at_least(
-      store.mean_intensity(EventSource::kTelescope));
+      scale.mean(EventSource::kTelescope));
   const auto honeypot = Query{}.from_source(SourceFilter::kHoneypot).at_least(
-      store.mean_intensity(EventSource::kHoneypot));
+      scale.mean(EventSource::kHoneypot));
   on_both(store, [&](const auto& exec) {
     EXPECT_DOUBLE_EQ(exec.daily_attacks(telescope).at(0) +
                          exec.daily_attacks(honeypot).at(0),
@@ -206,24 +227,25 @@ TEST_F(EventStoreTest, MediumIntensityFilterUsesSourceMean) {
 }
 
 TEST_F(EventStoreTest, NormalizedIntensityIsLinearPerSource) {
-  EventStore store(window_);
-  store.add(telescope_event(Ipv4Addr(10, 0, 0, 1), t0_ + 100, 60, 25.0));
-  store.add(telescope_event(Ipv4Addr(10, 0, 0, 2), t0_ + 200, 60, 100.0));
-  store.add(honeypot_event(Ipv4Addr(20, 0, 0, 1), t0_ + 300, 100, 500.0));
-  store.finalize();
-  EXPECT_DOUBLE_EQ(store.normalized_intensity(store.events()[0]), 0.25);
-  EXPECT_DOUBLE_EQ(store.normalized_intensity(store.events()[1]), 1.0);
+  const EventStore store(window_, {
+      telescope_event(Ipv4Addr(10, 0, 0, 1), t0_ + 100, 60, 25.0),
+      telescope_event(Ipv4Addr(10, 0, 0, 2), t0_ + 200, 60, 100.0),
+      honeypot_event(Ipv4Addr(20, 0, 0, 1), t0_ + 300, 100, 500.0),
+  });
+  const IntensityScale scale(store.events());
+  EXPECT_DOUBLE_EQ(scale.normalized(store.events()[0]), 0.25);
+  EXPECT_DOUBLE_EQ(scale.normalized(store.events()[1]), 1.0);
   // The honeypot event normalizes against its own dataset's max.
-  EXPECT_DOUBLE_EQ(store.normalized_intensity(store.events()[2]), 1.0);
+  EXPECT_DOUBLE_EQ(scale.normalized(store.events()[2]), 1.0);
 }
 
 TEST_F(EventStoreTest, CountryRankingOrdersByTargets) {
-  EventStore store(window_);
-  store.add(telescope_event(Ipv4Addr(10, 0, 0, 1), t0_ + 100, 60, 1.0));
-  store.add(telescope_event(Ipv4Addr(10, 0, 0, 2), t0_ + 100, 60, 1.0));
-  store.add(telescope_event(Ipv4Addr(20, 0, 0, 1), t0_ + 100, 60, 1.0));
-  store.add(telescope_event(Ipv4Addr(99, 0, 0, 1), t0_ + 100, 60, 1.0));
-  store.finalize();
+  const EventStore store(window_, {
+      telescope_event(Ipv4Addr(10, 0, 0, 1), t0_ + 100, 60, 1.0),
+      telescope_event(Ipv4Addr(10, 0, 0, 2), t0_ + 100, 60, 1.0),
+      telescope_event(Ipv4Addr(20, 0, 0, 1), t0_ + 100, 60, 1.0),
+      telescope_event(Ipv4Addr(99, 0, 0, 1), t0_ + 100, 60, 1.0),
+  });
   on_both(store, [](const auto& exec) {
     const auto ranking =
         exec.country_ranking(Query{}.from_source(SourceFilter::kTelescope));
@@ -232,19 +254,6 @@ TEST_F(EventStoreTest, CountryRankingOrdersByTargets) {
     EXPECT_EQ(ranking[0].targets, 2u);
     EXPECT_DOUBLE_EQ(ranking[0].share, 0.5);
   });
-}
-
-TEST_F(EventStoreTest, DistributionsSeparateBySource) {
-  EventStore store(window_);
-  store.add(telescope_event(Ipv4Addr(10, 0, 0, 1), t0_ + 100, 100, 3.0));
-  store.add(honeypot_event(Ipv4Addr(20, 0, 0, 1), t0_ + 100, 200, 70.0));
-  store.finalize();
-  EXPECT_EQ(store.intensity_distribution(SourceFilter::kTelescope).size(), 1u);
-  EXPECT_EQ(store.intensity_distribution(SourceFilter::kCombined).size(), 2u);
-  EXPECT_DOUBLE_EQ(store.duration_distribution(SourceFilter::kTelescope).max(),
-                   100.0);
-  EXPECT_DOUBLE_EQ(store.duration_distribution(SourceFilter::kHoneypot).max(),
-                   200.0);
 }
 
 TEST_F(EventStoreTest, OverlapPredicate) {

@@ -34,7 +34,7 @@ class ImpactTest : public ::testing::Test {
     event.ip_proto = proto;
     event.num_ports = 1;
     event.top_port = port;
-    store_.add(event);
+    events_.push_back(event);
   }
 
   void add_honeypot(Ipv4Addr target, int day, double duration_s,
@@ -47,13 +47,15 @@ class ImpactTest : public ::testing::Test {
     event.end = event.start + duration_s;
     event.intensity = 50.0;
     event.reflection = protocol;
-    store_.add(event);
+    events_.push_back(event);
   }
+
+  EventStore store() const { return EventStore(window_, events_); }
 
   StudyWindow window_{};
   double t0_;
   dns::SnapshotStore dns_;
-  EventStore store_{window_};
+  std::vector<AttackEvent> events_;
 };
 
 TEST_F(ImpactTest, CountsAffectedSitesPerDay) {
@@ -63,10 +65,9 @@ TEST_F(ImpactTest, CountsAffectedSitesPerDay) {
   host_site("c.com", Ipv4Addr(10, 0, 0, 2));
   add_telescope(shared, 5);
   add_telescope(Ipv4Addr(10, 0, 0, 2), 7);
-  store_.finalize();
   dns_.build_reverse_index();
 
-  const ImpactAnalysis impact(store_, dns_);
+  const ImpactAnalysis impact(store(), dns_);
   EXPECT_DOUBLE_EQ(impact.affected_daily().at(5), 2.0);
   EXPECT_DOUBLE_EQ(impact.affected_daily().at(7), 1.0);
   EXPECT_DOUBLE_EQ(impact.affected_daily().at(6), 0.0);
@@ -80,9 +81,8 @@ TEST_F(ImpactTest, SameDayRepeatsDoNotDoubleCountSites) {
   host_site("a.com", shared);
   add_telescope(shared, 5);
   add_telescope(shared, 5);  // second attack, same day, same IP
-  store_.finalize();
   dns_.build_reverse_index();
-  const ImpactAnalysis impact(store_, dns_);
+  const ImpactAnalysis impact(store(), dns_);
   EXPECT_DOUBLE_EQ(impact.affected_daily().at(5), 1.0);
   // But the domain records two touches.
   EXPECT_EQ(impact.domain_info(0).attack_count(), 2u);
@@ -98,9 +98,8 @@ TEST_F(ImpactTest, HistoricalMappingIsRespected) {
   dns_.record_change(id, 10, moved);
   add_telescope(ip1, 20);
   add_telescope(ip2, 25);
-  store_.finalize();
   dns_.build_reverse_index();
-  const ImpactAnalysis impact(store_, dns_);
+  const ImpactAnalysis impact(store(), dns_);
   EXPECT_DOUBLE_EQ(impact.affected_daily().at(20), 0.0);
   EXPECT_DOUBLE_EQ(impact.affected_daily().at(25), 1.0);
   ASSERT_EQ(impact.domain_info(id).attack_count(), 1u);
@@ -117,9 +116,8 @@ TEST_F(ImpactTest, CohostingHistogramUsesFirstAttackSnapshot) {
   add_telescope(mega, 9);  // second attack: IP already counted
   add_telescope(single, 4);
   add_telescope(Ipv4Addr(10, 9, 9, 9), 5);  // hosts nothing
-  store_.finalize();
   dns_.build_reverse_index();
-  const ImpactAnalysis impact(store_, dns_);
+  const ImpactAnalysis impact(store(), dns_);
   EXPECT_EQ(impact.web_hosting_targets(), 2u);
   const auto& hist = impact.cohosting_histogram();
   EXPECT_EQ(hist.bin(0), 1u);  // solo.com's IP
@@ -133,9 +131,8 @@ TEST_F(ImpactTest, MediumSeriesFiltersByIntensity) {
   host_site("b.com", b);
   add_telescope(a, 3, /*intensity=*/1.0);
   add_telescope(b, 4, /*intensity=*/99.0);  // far above mean
-  store_.finalize();
   dns_.build_reverse_index();
-  const ImpactAnalysis impact(store_, dns_);
+  const ImpactAnalysis impact(store(), dns_);
   EXPECT_DOUBLE_EQ(impact.affected_daily().at(3), 1.0);
   EXPECT_DOUBLE_EQ(impact.affected_daily_medium().at(3), 0.0);
   EXPECT_DOUBLE_EQ(impact.affected_daily_medium().at(4), 1.0);
@@ -150,9 +147,8 @@ TEST_F(ImpactTest, ProtocolEmphasisOnWebTargets) {
   add_telescope(web, 6, 1.0, 27015, 17);  // UDP on web target
   add_honeypot(web, 7, 600.0, amppot::ReflectionProtocol::kNtp);
   add_honeypot(web, 8, 600.0, amppot::ReflectionProtocol::kDns);
-  store_.finalize();
   dns_.build_reverse_index();
-  const ImpactAnalysis impact(store_, dns_);
+  const ImpactAnalysis impact(store(), dns_);
   EXPECT_NEAR(impact.tcp_share_on_web_targets(), 2.0 / 3.0, 1e-9);
   EXPECT_NEAR(impact.web_port_share_on_web_targets(), 0.5, 1e-9);
   EXPECT_NEAR(impact.ntp_share_on_web_targets(), 0.5, 1e-9);
@@ -181,9 +177,8 @@ TEST_F(ImpactTest, TopPeaksOrdering) {
   host_site("solo.com", Ipv4Addr(10, 0, 0, 2));
   add_telescope(shared, 100);
   add_telescope(Ipv4Addr(10, 0, 0, 2), 200);
-  store_.finalize();
   dns_.build_reverse_index();
-  const ImpactAnalysis impact(store_, dns_);
+  const ImpactAnalysis impact(store(), dns_);
   const auto peaks = impact.top_peaks(2);
   ASSERT_EQ(peaks.size(), 2u);
   EXPECT_EQ(peaks[0].first, 100);
@@ -197,9 +192,8 @@ TEST_F(ImpactTest, UnregisteredDomainsDontCount) {
   const Ipv4Addr ip(10, 0, 0, 1);
   host_site("late.com", ip, /*day=*/50);
   add_telescope(ip, 10);
-  store_.finalize();
   dns_.build_reverse_index();
-  const ImpactAnalysis impact(store_, dns_);
+  const ImpactAnalysis impact(store(), dns_);
   EXPECT_EQ(impact.attacked_domains(), 0u);
   EXPECT_EQ(impact.web_domains(), 1u);
   EXPECT_DOUBLE_EQ(impact.affected_daily().at(10), 0.0);

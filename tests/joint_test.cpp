@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "core/joint.h"
+#include "sim/scenario.h"
 
 namespace dosm::core {
 namespace {
@@ -35,9 +36,11 @@ class JointTest : public ::testing::Test {
     geo_.add(net::Prefix::parse("20.0.0.0/8"), meta::CountryCode("CN"));
   }
 
+  EventStore store() const { return EventStore(window_, events_); }
+
   StudyWindow window_{};
   double t0_;
-  EventStore store_{window_};
+  std::vector<AttackEvent> events_;
   meta::PrefixToAsMap pfx2as_;
   meta::GeoDatabase geo_;
 };
@@ -45,18 +48,17 @@ class JointTest : public ::testing::Test {
 TEST_F(JointTest, DistinguishesCommonFromJoint) {
   // Target A: both sources, overlapping -> joint.
   const Ipv4Addr a(10, 0, 0, 1);
-  store_.add(make_event(EventSource::kTelescope, a, t0_ + 100, 600));
-  store_.add(make_event(EventSource::kHoneypot, a, t0_ + 300, 600));
+  events_.push_back(make_event(EventSource::kTelescope, a, t0_ + 100, 600));
+  events_.push_back(make_event(EventSource::kHoneypot, a, t0_ + 300, 600));
   // Target B: both sources, days apart -> common but not joint.
   const Ipv4Addr b(10, 0, 0, 2);
-  store_.add(make_event(EventSource::kTelescope, b, t0_ + 100, 600));
-  store_.add(make_event(EventSource::kHoneypot, b, t0_ + 86400 * 3, 600));
+  events_.push_back(make_event(EventSource::kTelescope, b, t0_ + 100, 600));
+  events_.push_back(make_event(EventSource::kHoneypot, b, t0_ + 86400 * 3, 600));
   // Target C: telescope only.
-  store_.add(make_event(EventSource::kTelescope, Ipv4Addr(20, 0, 0, 3),
+  events_.push_back(make_event(EventSource::kTelescope, Ipv4Addr(20, 0, 0, 3),
                         t0_ + 100, 600));
-  store_.finalize();
 
-  const JointAttackAnalysis joint(store_);
+  const JointAttackAnalysis joint(store());
   EXPECT_EQ(joint.common_targets(), 2u);
   EXPECT_EQ(joint.joint_targets(), 1u);
   ASSERT_EQ(joint.joint_target_list().size(), 1u);
@@ -68,13 +70,12 @@ TEST_F(JointTest, DistinguishesCommonFromJoint) {
 TEST_F(JointTest, CollectsAllCoParticipatingEvents) {
   const Ipv4Addr a(10, 0, 0, 1);
   // Two telescope events overlapping the same reflection attack.
-  store_.add(make_event(EventSource::kTelescope, a, t0_ + 100, 200));
-  store_.add(make_event(EventSource::kTelescope, a, t0_ + 400, 200));
-  store_.add(make_event(EventSource::kHoneypot, a, t0_ + 50, 700));
+  events_.push_back(make_event(EventSource::kTelescope, a, t0_ + 100, 200));
+  events_.push_back(make_event(EventSource::kTelescope, a, t0_ + 400, 200));
+  events_.push_back(make_event(EventSource::kHoneypot, a, t0_ + 50, 700));
   // A later telescope event with no overlap: not joint.
-  store_.add(make_event(EventSource::kTelescope, a, t0_ + 5000, 100));
-  store_.finalize();
-  const JointAttackAnalysis joint(store_);
+  events_.push_back(make_event(EventSource::kTelescope, a, t0_ + 5000, 100));
+  const JointAttackAnalysis joint(store());
   EXPECT_EQ(joint.joint_targets(), 1u);
   EXPECT_EQ(joint.telescope_joint_events().size(), 2u);
   EXPECT_EQ(joint.honeypot_joint_events().size(), 1u);
@@ -83,14 +84,13 @@ TEST_F(JointTest, CollectsAllCoParticipatingEvents) {
 TEST_F(JointTest, AsnRankingCountsJointTargets) {
   for (int i = 1; i <= 3; ++i) {
     const Ipv4Addr target(10, 0, 0, static_cast<std::uint8_t>(i));
-    store_.add(make_event(EventSource::kTelescope, target, t0_ + 100, 600));
-    store_.add(make_event(EventSource::kHoneypot, target, t0_ + 200, 600));
+    events_.push_back(make_event(EventSource::kTelescope, target, t0_ + 100, 600));
+    events_.push_back(make_event(EventSource::kHoneypot, target, t0_ + 200, 600));
   }
   const Ipv4Addr other(20, 0, 0, 9);
-  store_.add(make_event(EventSource::kTelescope, other, t0_ + 100, 600));
-  store_.add(make_event(EventSource::kHoneypot, other, t0_ + 200, 600));
-  store_.finalize();
-  const JointAttackAnalysis joint(store_);
+  events_.push_back(make_event(EventSource::kTelescope, other, t0_ + 100, 600));
+  events_.push_back(make_event(EventSource::kHoneypot, other, t0_ + 200, 600));
+  const JointAttackAnalysis joint(store());
   const auto ranking = joint.asn_ranking(pfx2as_);
   ASSERT_EQ(ranking.size(), 2u);
   EXPECT_EQ(ranking[0].asn, 12276u);  // OVH-style: most joint targets
@@ -102,11 +102,33 @@ TEST_F(JointTest, AsnRankingCountsJointTargets) {
 }
 
 TEST_F(JointTest, EmptyStoreIsClean) {
-  store_.finalize();
-  const JointAttackAnalysis joint(store_);
+  const JointAttackAnalysis joint(store());
   EXPECT_EQ(joint.common_targets(), 0u);
   EXPECT_EQ(joint.joint_targets(), 0u);
   EXPECT_TRUE(joint.asn_ranking(pfx2as_).empty());
+}
+
+TEST(JointEventTest, FlagsMatchBruteForceOnSmallScenario) {
+  const auto world = sim::build_world(sim::ScenarioConfig::small());
+  const auto events = world->store.events();
+  const JointAttackAnalysis joint(world->store);
+  std::size_t flagged = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    // Joint: an overlapping event from the other source on the same target.
+    bool expected = false;
+    for (const auto& other : events) {
+      if (other.target == events[i].target &&
+          other.source != events[i].source && events[i].overlaps(other)) {
+        expected = true;
+        break;
+      }
+    }
+    EXPECT_EQ(joint.joint_event(i), expected) << "event " << i;
+    flagged += expected;
+  }
+  EXPECT_GT(flagged, 0u);
+  EXPECT_EQ(flagged, joint.telescope_joint_events().size() +
+                         joint.honeypot_joint_events().size());
 }
 
 }  // namespace

@@ -33,14 +33,16 @@ class MailImpactTest : public ::testing::Test {
     event.end = event.start + 600.0;
     event.intensity = 1.0;
     event.ip_proto = 6;
-    store_.add(event);
+    events_.push_back(event);
   }
+
+  EventStore store() const { return EventStore(window_, events_); }
 
   StudyWindow window_{};
   double t0_;
   dns::NameTable names_;
   dns::SnapshotStore dns_;
-  EventStore store_{window_};
+  std::vector<AttackEvent> events_;
 };
 
 TEST_F(MailImpactTest, JoinsAttacksAgainstMxHosts) {
@@ -57,10 +59,9 @@ TEST_F(MailImpactTest, JoinsAttacksAgainstMxHosts) {
 
   attack(shared_mx, 5);  // hits the shared exchanger
   attack(Ipv4Addr(10, 0, 0, 4), 6);  // web IP of d.com: no mail there
-  store_.finalize();
   dns_.build_reverse_index();
 
-  const MailImpactAnalysis mail(store_, dns_);
+  const MailImpactAnalysis mail(store(), dns_);
   EXPECT_EQ(mail.mail_domains(), 3u);
   EXPECT_EQ(mail.affected_domains(), 2u);
   EXPECT_DOUBLE_EQ(mail.affected_daily().at(5), 2.0);
@@ -78,10 +79,9 @@ TEST_F(MailImpactTest, TopMailTargetsRankedByInvolvements) {
   attack(big_mx, 3);
   attack(big_mx, 9);   // repeat: involvements accumulate
   attack(small_mx, 4);
-  store_.finalize();
   dns_.build_reverse_index();
 
-  const MailImpactAnalysis mail(store_, dns_);
+  const MailImpactAnalysis mail(store(), dns_);
   const auto top = mail.top_mail_targets(5);
   ASSERT_EQ(top.size(), 2u);
   EXPECT_EQ(top[0].first, big_mx);
@@ -100,17 +100,15 @@ TEST_F(MailImpactTest, HistoricalMxMappingRespected) {
 
   attack(old_mx, 30);  // after the move: no longer affects mover.com
   attack(new_mx, 40);
-  store_.finalize();
   dns_.build_reverse_index();
-  const MailImpactAnalysis mail(store_, dns_);
+  const MailImpactAnalysis mail(store(), dns_);
   EXPECT_DOUBLE_EQ(mail.affected_daily().at(30), 0.0);
   EXPECT_DOUBLE_EQ(mail.affected_daily().at(40), 1.0);
 }
 
 TEST_F(MailImpactTest, EmptyWorldIsClean) {
-  store_.finalize();
   dns_.build_reverse_index();
-  const MailImpactAnalysis mail(store_, dns_);
+  const MailImpactAnalysis mail(store(), dns_);
   EXPECT_EQ(mail.mail_domains(), 0u);
   EXPECT_EQ(mail.affected_domains(), 0u);
   EXPECT_DOUBLE_EQ(mail.affected_fraction(), 0.0);
@@ -147,10 +145,9 @@ TEST_F(MailImpactTest, TopMailTargetsTieBreakByAddress) {
   }
   for (int i = 0; i < 24; ++i)
     attack(Ipv4Addr(10, 0, 3, static_cast<std::uint8_t>(i)), 2);
-  store_.finalize();
   dns_.build_reverse_index();
 
-  const MailImpactAnalysis mail(store_, dns_);
+  const MailImpactAnalysis mail(store(), dns_);
   const auto top = mail.top_mail_targets(24);
   ASSERT_EQ(top.size(), 24u);
   for (int i = 0; i < 24; ++i) {

@@ -50,16 +50,17 @@ class MigrationAnalysisTest : public ::testing::Test {
     } else {
       event.reflection = amppot::ReflectionProtocol::kNtp;
     }
-    store_.add(event);
+    events_.push_back(event);
   }
 
   void finish() {
-    store_.finalize();
     dns_.build_reverse_index();
-    impact_ = std::make_unique<ImpactAnalysis>(store_, dns_);
+    impact_ = std::make_unique<ImpactAnalysis>(store(), dns_);
     timelines_ = dps::all_timelines(dns_, classifier_);
     analysis_ = std::make_unique<MigrationAnalysis>(*impact_, timelines_);
   }
+
+  EventStore store() const { return EventStore(window_, events_); }
 
   StudyWindow window_{};
   double t0_;
@@ -67,7 +68,7 @@ class MigrationAnalysisTest : public ::testing::Test {
   dns::SnapshotStore dns_;
   dps::ProviderRegistry registry_;
   dps::Classifier classifier_;
-  EventStore store_{window_};
+  std::vector<AttackEvent> events_;
   std::unique_ptr<ImpactAnalysis> impact_;
   std::vector<dps::ProtectionTimeline> timelines_;
   std::unique_ptr<MigrationAnalysis> analysis_;

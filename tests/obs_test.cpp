@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <filesystem>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -157,6 +159,14 @@ TEST_F(ObsTest, JsonExportIsDeterministicAndWellFormed) {
   EXPECT_NE(json.find("\"test.g\": -4"), std::string::npos);
   EXPECT_NE(json.find("\"count\": 1"), std::string::npos);
   EXPECT_LT(json.find("\"test.a\""), json.find("\"test.b\""));
+}
+
+TEST_F(ObsTest, MetricsFileOnFullDiskThrows) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  // The file fits the stream buffer, so the full disk surfaces only when
+  // it is flushed: that must throw, not return normally.
+  registry_.counter("test.a", "").add(1);
+  EXPECT_THROW(write_metrics_file("/dev/full", registry_), std::runtime_error);
 }
 
 TEST_F(ObsTest, PrometheusExportUsesCumulativeBuckets) {

@@ -134,7 +134,7 @@ class StoreInvariants : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(StoreInvariants, HoldForRandomPopulations) {
   Rng rng(GetParam());
   const StudyWindow window;
-  core::EventStore store(window);
+  std::vector<core::AttackEvent> population;
   const double t0 = static_cast<double>(window.start_time());
   const int n = 500 + static_cast<int>(rng.next_below(1500));
   for (int i = 0; i < n; ++i) {
@@ -150,9 +150,9 @@ TEST_P(StoreInvariants, HoldForRandomPopulations) {
     event.ip_proto = 6;
     event.num_ports = 1;
     event.top_port = 80;
-    store.add(event);
+    population.push_back(event);
   }
-  store.finalize();
+  const core::EventStore store(window, std::move(population));
 
   meta::PrefixToAsMap pfx2as;
   pfx2as.announce(net::Prefix::parse("10.0.0.0/8"), 64500);
@@ -177,16 +177,16 @@ TEST_P(StoreInvariants, HoldForRandomPopulations) {
   EXPECT_LE(distinct(kCombined, kSlash24), distinct(kCombined));
   EXPECT_LE(distinct(kCombined, kSlash16), distinct(kCombined, kSlash24));
 
-  // Per-target index covers every event exactly once.
-  std::size_t indexed = 0;
-  for (const auto& target : store.targets(core::SourceFilter::kCombined))
-    indexed += store.events_for(target).size();
-  EXPECT_EQ(indexed, store.size());
+  // The store holds every event, in canonical order.
+  EXPECT_EQ(store.size(), static_cast<std::size_t>(n));
+  EXPECT_TRUE(std::is_sorted(store.events().begin(), store.events().end(),
+                             core::canonical_less));
 
   // Normalized intensities live in [0, 1] and the max is exactly 1.
+  const core::IntensityScale scale(store.events());
   double max_norm = 0.0;
   for (const auto& event : store.events()) {
-    const double norm = store.normalized_intensity(event);
+    const double norm = scale.normalized(event);
     EXPECT_GE(norm, 0.0);
     EXPECT_LE(norm, 1.0);
     max_norm = std::max(max_norm, norm);
@@ -199,7 +199,7 @@ TEST_P(StoreInvariants, HoldForRandomPopulations) {
   // Medium+ (at or above the source's mean intensity) is a subset.
   const auto medium = [&](core::SourceFilter filter, core::EventSource source) {
     return snapshot->count(query::Query{}.from_source(filter).at_least(
-        store.mean_intensity(source)));
+        scale.mean(source)));
   };
   EXPECT_LE(medium(kTelescope, core::EventSource::kTelescope) +
                 medium(kHoneypot, core::EventSource::kHoneypot),

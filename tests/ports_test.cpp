@@ -42,7 +42,7 @@ class DistributionTest : public ::testing::Test {
     event.ip_proto = proto;
     event.num_ports = static_cast<std::uint16_t>(ports.size());
     event.top_port = ports.empty() ? 0 : ports[0];
-    store_.add(event);
+    events_.push_back(event);
   }
 
   void add_honeypot(amppot::ReflectionProtocol protocol) {
@@ -53,12 +53,14 @@ class DistributionTest : public ::testing::Test {
     event.end = event.start + 100.0;
     event.intensity = 10.0;
     event.reflection = protocol;
-    store_.add(event);
+    events_.push_back(event);
   }
+
+  EventStore store() const { return EventStore(window_, events_); }
 
   StudyWindow window_{};
   double t0_;
-  EventStore store_{window_};
+  std::vector<AttackEvent> events_;
   std::uint8_t next_ = 1;
 };
 
@@ -67,8 +69,7 @@ TEST_F(DistributionTest, IpProtocolSharesSumToOne) {
   add_telescope(17, {27015});
   add_telescope(1, {});
   add_honeypot(amppot::ReflectionProtocol::kNtp);  // must not count
-  store_.finalize();
-  const auto rows = ip_protocol_distribution(store_);
+  const auto rows = ip_protocol_distribution(store());
   ASSERT_EQ(rows.size(), 4u);
   EXPECT_EQ(rows[0].label, "TCP");
   EXPECT_EQ(rows[0].events, 8u);
@@ -84,8 +85,7 @@ TEST_F(DistributionTest, ReflectionDistributionRanksAndFoldsOther) {
   add_honeypot(amppot::ReflectionProtocol::kRipv1);
   add_honeypot(amppot::ReflectionProtocol::kTftp);   // 6th: folds to Other
   add_honeypot(amppot::ReflectionProtocol::kMssql);  // 7th: folds to Other
-  store_.finalize();
-  const auto rows = reflection_distribution(store_);
+  const auto rows = reflection_distribution(store());
   ASSERT_EQ(rows.size(), 6u);  // top 5 + Other
   EXPECT_EQ(rows[0].label, "NTP");
   EXPECT_EQ(rows[0].events, 5u);
@@ -101,8 +101,7 @@ TEST_F(DistributionTest, PortCardinalitySplit) {
   add_telescope(6, {80, 443});
   add_telescope(6, {80, 443, 8080});
   add_telescope(1, {});  // portless: excluded from the split
-  store_.finalize();
-  const auto split = port_cardinality(store_.events());
+  const auto split = port_cardinality(store().events());
   EXPECT_EQ(split.single_port, 1u);
   EXPECT_EQ(split.multi_port, 2u);
   EXPECT_EQ(split.total(), 3u);
@@ -118,8 +117,7 @@ TEST_F(DistributionTest, ServiceDistributionTopN) {
   add_telescope(6, {25});
   add_telescope(6, {80, 443});  // multi-port: excluded
   add_telescope(17, {27015});   // UDP: excluded from the TCP table
-  store_.finalize();
-  const auto rows = service_distribution(store_.events(), /*tcp=*/true, 3);
+  const auto rows = service_distribution(store().events(), /*tcp=*/true, 3);
   ASSERT_EQ(rows.size(), 4u);  // top 3 + Other
   EXPECT_EQ(rows[0].label, "HTTP");
   EXPECT_EQ(rows[0].events, 6u);
@@ -134,8 +132,7 @@ TEST_F(DistributionTest, ServiceDistributionTopN) {
 TEST_F(DistributionTest, UdpServiceDistribution) {
   for (int i = 0; i < 4; ++i) add_telescope(17, {27015});
   add_telescope(17, {3306});
-  store_.finalize();
-  const auto rows = service_distribution(store_.events(), /*tcp=*/false, 5);
+  const auto rows = service_distribution(store().events(), /*tcp=*/false, 5);
   EXPECT_EQ(rows[0].label, "27015");
   EXPECT_EQ(rows[0].events, 4u);
 }
@@ -144,16 +141,14 @@ TEST_F(DistributionTest, WebPortShare) {
   for (int i = 0; i < 7; ++i) add_telescope(6, {80});
   for (int i = 0; i < 2; ++i) add_telescope(6, {443});
   add_telescope(6, {22});
-  store_.finalize();
-  EXPECT_DOUBLE_EQ(web_port_share(store_.events()), 0.9);
+  EXPECT_DOUBLE_EQ(web_port_share(store().events()), 0.9);
 }
 
 TEST_F(DistributionTest, EmptyStoreYieldsZeroShares) {
-  store_.finalize();
-  const auto rows = ip_protocol_distribution(store_);
+  const auto rows = ip_protocol_distribution(store());
   for (const auto& row : rows) EXPECT_DOUBLE_EQ(row.share, 0.0);
-  EXPECT_DOUBLE_EQ(web_port_share(store_.events()), 0.0);
-  const auto split = port_cardinality(store_.events());
+  EXPECT_DOUBLE_EQ(web_port_share(store().events()), 0.0);
+  const auto split = port_cardinality(store().events());
   EXPECT_EQ(split.total(), 0u);
   EXPECT_DOUBLE_EQ(split.single_share(), 0.0);
 }

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <span>
 #include <sstream>
@@ -167,11 +168,18 @@ TEST(Serialize, FileRoundTripAndStagedReanalysis) {
 
   const auto loaded = load_events(path);
   expect_same_events(loaded, world->store.events());
-  EventStore restored(world->window);
-  for (const auto& event : loaded) restored.add(event);
-  restored.finalize();
+  const EventStore restored(world->window, loaded);
   EXPECT_EQ(restored.size(), world->store.size());
+  expect_same_events(restored.events(), world->store.events());
   std::remove(path.c_str());
+}
+
+TEST(Serialize, SaveToFullDiskThrows) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  // Three events fit the stream buffer, so the full disk surfaces only when
+  // the dump is flushed: that must throw, not return normally.
+  const std::vector<AttackEvent> events(3);
+  EXPECT_THROW(save_events("/dev/full", events), SerializeError);
 }
 
 TEST(Serialize, LoadRejectsMissingFile) {

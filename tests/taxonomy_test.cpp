@@ -42,16 +42,17 @@ class TaxonomyTest : public ::testing::Test {
     event.ip_proto = 6;
     event.num_ports = 1;
     event.top_port = 80;
-    store_.add(event);
+    events_.push_back(event);
   }
 
   TaxonomyCounts run() {
-    store_.finalize();
     dns_.build_reverse_index();
-    impact_ = std::make_unique<ImpactAnalysis>(store_, dns_);
+    impact_ = std::make_unique<ImpactAnalysis>(store(), dns_);
     timelines_ = dps::all_timelines(dns_, classifier_);
     return classify_websites(*impact_, timelines_, dns_);
   }
+
+  EventStore store() const { return EventStore(window_, events_); }
 
   StudyWindow window_{};
   double t0_;
@@ -59,7 +60,7 @@ class TaxonomyTest : public ::testing::Test {
   dns::SnapshotStore dns_;
   dps::ProviderRegistry registry_;
   dps::Classifier classifier_;
-  EventStore store_{window_};
+  std::vector<AttackEvent> events_;
   std::unique_ptr<ImpactAnalysis> impact_;
   std::vector<dps::ProtectionTimeline> timelines_;
 };
@@ -157,9 +158,8 @@ TEST_F(TaxonomyTest, CensusCrossTabulatesGroupAndClass) {
   attack(shared, 20);
   attack(rec.www_a, 20);
 
-  store_.finalize();
   dns_.build_reverse_index();
-  impact_ = std::make_unique<ImpactAnalysis>(store_, dns_);
+  impact_ = std::make_unique<ImpactAnalysis>(store(), dns_);
   timelines_ = dps::all_timelines(dns_, classifier_);
   const auto census =
       core::census_attacked_sites(*impact_, timelines_, dns_);

@@ -226,29 +226,30 @@ void add_build_flags(Flags& flags, Dataset& data) {
   flags.push_back(number("--segment-days", data.segment_days));
 }
 
-/// A loaded dataset. Only a simulated world carries the metadata that
-/// resolves ASN and country; on a dump those columns stay unknown.
+/// A loaded dataset: one event store over the --days window, from a
+/// simulated world or a binary event dump. Only a simulated world carries
+/// the metadata that resolves ASN and country; on a dump those columns stay
+/// unknown.
 struct Loaded {
+  core::EventStore store;
   std::unique_ptr<sim::World> world;  // null for an event dump
-  std::vector<core::AttackEvent> dump;
-
-  std::span<const core::AttackEvent> events() const {
-    return world ? world->store.events() : dump;
-  }
 };
 
 Loaded load_dataset(const Dataset& data) {
-  Loaded loaded;
   if (!data.load_events.empty()) {
-    loaded.dump = core::load_events(data.load_events);
-    std::cerr << "[dosmeter] loaded " << loaded.dump.size() << " events from "
-              << data.load_events << "\n";
-  } else {
-    std::cerr << "[dosmeter] building " << data.scenario.window.num_days()
-              << "-day world (seed " << data.scenario.seed << ")...\n";
-    loaded.world = sim::build_world(data.scenario);
+    Loaded loaded{core::EventStore(data.scenario.window,
+                                   core::load_events(data.load_events)),
+                  nullptr};
+    std::cerr << "[dosmeter] loaded " << loaded.store.size()
+              << " events from " << data.load_events << "\n";
+    return loaded;
   }
-  return loaded;
+  std::cerr << "[dosmeter] building " << data.scenario.window.num_days()
+            << "-day world (seed " << data.scenario.seed << ")...\n";
+  auto world = sim::build_world(data.scenario);
+  // The events move out; the world stays for its metadata.
+  core::EventStore store = std::move(world->store);
+  return {std::move(store), std::move(world)};
 }
 
 /// A build context without metadata: ASN and country resolve to unknown.
@@ -266,16 +267,8 @@ std::shared_ptr<const query::Snapshot> build_snapshot(const Dataset& data,
                    : bare_context();
   ctx.threads = data.threads;
   ctx.segment_days = data.segment_days;
-  return query::Snapshot::build(data.scenario.window, loaded.events(), ctx,
-                                /*version=*/1);
-}
-
-/// The dataset's events in canonical order, as `serve` and `watch` replay.
-std::vector<core::AttackEvent> replay_order(const Loaded& loaded) {
-  std::vector<core::AttackEvent> sorted(loaded.events().begin(),
-                                        loaded.events().end());
-  std::sort(sorted.begin(), sorted.end(), core::canonical_less);
-  return sorted;
+  return query::Snapshot::build(loaded.store.window(), loaded.store.events(),
+                                ctx, /*version=*/1);
 }
 
 /// The packet-level pipeline's output: parallel telescope detection plus,
@@ -295,15 +288,8 @@ Detection detect_and_fuse(std::span<const net::PacketRecord> packets,
   const std::vector<amppot::AmpPotEvent> honeypot_events =
       fleet ? parallel::parallel_harvest(*fleet, {}, config)
             : std::vector<amppot::AmpPotEvent>{};
-  Detection out{detector.stats(), telescope_events.size(),
-                honeypot_events.size(), {}};
-  out.events.reserve(telescope_events.size() + honeypot_events.size());
-  for (const auto& event : telescope_events)
-    out.events.push_back(core::from_telescope(event));
-  for (const auto& event : honeypot_events)
-    out.events.push_back(core::from_amppot(event));
-  std::sort(out.events.begin(), out.events.end(), core::canonical_less);
-  return out;
+  return {detector.stats(), telescope_events.size(), honeypot_events.size(),
+          core::fuse(telescope_events, honeypot_events)};
 }
 
 void write_events(const std::string& path,
@@ -320,10 +306,17 @@ void write_metrics(const std::string& path) {
   std::cerr << "[dosmeter] wrote metrics to " << path << "\n";
 }
 
+/// Flushes `out` and throws when any write to `path` failed: output smaller
+/// than the stream buffer meets a full disk only at the flush.
+void finish_write(std::ostream& out, const std::string& path) {
+  if (!out.flush()) throw std::runtime_error("failed writing " + path);
+}
+
 void write_file(const std::filesystem::path& path, const std::string& content) {
   std::ofstream out(path);
   if (!out) throw std::runtime_error("cannot write " + path.string());
   out << content;
+  finish_write(out, path.string());
 }
 
 // ---------------------------------------------------------------------------
@@ -425,6 +418,7 @@ int detect_main(int argc, char** argv) {
     }
     net::PcapWriter writer(out);
     for (const auto& rec : capture_packets) writer.write_packet(rec);
+    finish_write(out, save_pcap);
     std::cerr << "[dosmeter] wrote " << writer.frames_written()
               << " frames to " << save_pcap << "\n";
     return 0;
@@ -782,7 +776,7 @@ int serve_main(int argc, char** argv) {
       if (tick_millis > 0)
         std::this_thread::sleep_for(std::chrono::milliseconds(tick_millis));
     };
-    for (const auto& event : replay_order(loaded)) {
+    for (const auto& event : loaded.store.events()) {
       clock.advance(event.start, tick);
       dispatcher.ingest(event);
     }
@@ -846,7 +840,7 @@ int watch_main(int argc, char** argv) {
   subscribe::Dispatcher dispatcher(config);
   const subscribe::SubscriptionId id = dispatcher.subscribe(predicate);
   std::cerr << "[dosmeter] watching " << predicate.to_string() << " over "
-            << loaded.events().size() << " events\n";
+            << loaded.store.size() << " events\n";
 
   // The dispatcher doubles as the fusion's alert sink, so day-level spike
   // alerts dispatch alongside the per-event kNewAttack alerts.
@@ -855,7 +849,7 @@ int watch_main(int argc, char** argv) {
   // One tick per study day; the last closes the open day and flushes
   // out-of-window alerts.
   DayClock clock(config.window);
-  for (const auto& event : replay_order(loaded)) {
+  for (const auto& event : loaded.store.events()) {
     clock.advance(event.start, [&dispatcher](int) { dispatcher.tick(); });
     fusion.ingest(event);
     dispatcher.ingest(event);
