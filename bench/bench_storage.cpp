@@ -179,7 +179,8 @@ int run(int argc, char** argv) {
 
   const meta::PrefixToAsMap pfx2as;
   const meta::GeoDatabase geo;
-  query::BuildContext build_ctx{pfx2as, geo, 1, segment_days};
+  query::BuildContext build_ctx{
+      .pfx2as = pfx2as, .geo = geo, .segment_days = segment_days};
   const auto in_memory =
       query::Snapshot::build(w.window, w.events, build_ctx);
 

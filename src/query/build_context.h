@@ -1,18 +1,18 @@
 // The consolidated snapshot-construction surface.
 //
 // Every path that materializes columnar segments — the batch
-// Snapshot::build and the streaming SnapshotPublisher — needs the
-// same three ingredients: the metadata joins resolved at build time
-// (pfx2as, geo) and the worker count for the deterministic parallel frame
-// build. BuildContext is that one bag of arguments, replacing the six
-// positional parameters the old Snapshot::build / SnapshotPublisher
-// signatures spread across call sites.
+// Snapshot::build and the streaming SnapshotPublisher — needs the same
+// ingredients: the metadata joins resolved at build time (pfx2as, geo) and
+// the segment and tier layout. BuildContext is that one bag of arguments.
+// Set a knob by name (`{.pfx2as = m, .geo = g, .segment_days = 7}`), never
+// by position: the knobs are all integers, so a positional list that skips
+// one silently shifts the rest.
 //
 // Lifetimes: the metadata maps are BORROWED. For the batch builders they
 // must stay alive for the duration of the build call; a SnapshotPublisher
-// keeps a copy of the context, so there they must outlive the publisher
-// itself. The finished Snapshot never touches them again (ASN and country
-// are resolved into columns during the build).
+// borrows them for its whole life, so there they must outlive the
+// publisher itself. The finished Snapshot never touches them again (ASN
+// and country are resolved into columns during the build).
 #pragma once
 
 #include <cstddef>
@@ -27,9 +27,6 @@ struct BuildContext {
   const meta::PrefixToAsMap& pfx2as;
   /// Geolocation database; resolved per event at build time.
   const meta::GeoDatabase& geo;
-  /// Worker threads per segment build. Any value yields byte-identical
-  /// frames (see FrameBuilder::build(int)).
-  int threads = 1;
   /// Batch-build segmentation: days per sealed FrameSegment. 0 keeps the
   /// whole dataset in a single segment (the full-rebuild layout). The
   /// streaming SnapshotPublisher always seals one segment per completed

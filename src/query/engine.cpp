@@ -63,11 +63,14 @@ SnapshotPublisher::SnapshotPublisher(QueryEngine& engine, StudyWindow window,
                                      const BuildContext& ctx)
     : engine_(&engine),
       window_(window),
-      ctx_(ctx),
       day_builder_(window, ctx.pfx2as, ctx.geo),
       clock_(window) {}
 
 void SnapshotPublisher::ingest(const core::AttackEvent& event) {
+  if (last_ && core::canonical_less(event, *last_))
+    throw std::invalid_argument(
+        "SnapshotPublisher: events must arrive in canonical order");
+  last_ = event;
   if (clock_.advance(event.start, [this](int) { seal_and_publish(); }) < 0)
     return;
   day_builder_.add(event);
@@ -83,8 +86,7 @@ void SnapshotPublisher::seal_and_publish() {
   EngineMetrics& metrics = EngineMetrics::get();
   const obs::ScopedTimer timer(metrics.publish_seconds);
   metrics.segments_reused.add(sealed_.size());
-  sealed_.push_back(seal_segment(day_builder_, ctx_));
-  day_builder_ = FrameBuilder(window_, ctx_.pfx2as, ctx_.geo);
+  sealed_.push_back(seal_segment(day_builder_));
   engine_->publish(
       std::make_shared<const Snapshot>(window_, sealed_, next_version_));
   ++next_version_;

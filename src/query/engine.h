@@ -16,6 +16,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/streaming.h"
@@ -50,8 +51,9 @@ class QueryEngine {
   std::atomic<std::uint64_t> publishes_{0};
 };
 
-/// Bridges time-ordered streaming ingest to snapshot publication. Days close
-/// on a DayClock (common/time.h); out-of-window events are not ingested.
+/// Bridges canonically ordered streaming ingest to snapshot publication.
+/// Days close on a DayClock (common/time.h); out-of-window events are not
+/// ingested.
 /// Each completed day with events is sealed ONCE into an immutable
 /// FrameSegment (a gap day publishes nothing); the publish assembles a new
 /// segment list sharing all prior segments by pointer, so publish cost is
@@ -60,14 +62,15 @@ class QueryEngine {
 /// apply to the streaming path.
 class SnapshotPublisher {
  public:
-  /// The engine is borrowed and must outlive the publisher. The publisher
-  /// keeps a copy of ctx, so the metadata ctx borrows must outlive the
+  /// The engine is borrowed and must outlive the publisher. The day
+  /// builder borrows ctx's metadata, so the metadata must outlive the
   /// publisher too (see BuildContext).
   SnapshotPublisher(QueryEngine& engine, StudyWindow window,
                     const BuildContext& ctx);
 
-  /// Ingests one event; throws std::invalid_argument when start order
-  /// decreases. Seals + publishes each non-empty day the clock closes.
+  /// Ingests one event; throws std::invalid_argument when it is
+  /// canonically less than the event before it (core::canonical_less).
+  /// Seals + publishes each non-empty day the clock closes.
   void ingest(const core::AttackEvent& event);
 
   /// Seals and publishes the open (possibly partial) day.
@@ -83,10 +86,10 @@ class SnapshotPublisher {
 
   QueryEngine* engine_;
   StudyWindow window_;
-  BuildContext ctx_;
   std::vector<std::shared_ptr<const FrameSegment>> sealed_;
   FrameBuilder day_builder_;
   DayClock clock_;
+  std::optional<core::AttackEvent> last_;  // previous input (order check)
   std::uint64_t events_ingested_ = 0;
   std::uint64_t snapshots_published_ = 0;
   std::uint64_t next_version_ = 1;

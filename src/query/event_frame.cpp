@@ -1,16 +1,27 @@
 #include "query/event_frame.h"
 
 #include <algorithm>
-#include <functional>
-#include <iterator>
 #include <stdexcept>
-#include <tuple>
 #include <utility>
 
-#include "parallel/merge.h"
-#include "parallel/work_queue.h"
-
 namespace dosm::query {
+namespace {
+
+template <typename Fn>
+void for_each_column(FrameColumns& columns, Fn&& fn) {
+  fn(columns.start);
+  fn(columns.end);
+  fn(columns.intensity);
+  fn(columns.target);
+  fn(columns.source);
+  fn(columns.ip_proto);
+  fn(columns.top_port);
+  fn(columns.asn);
+  fn(columns.country);
+  fn(columns.day);
+}
+
+}  // namespace
 
 PackedCountry pack_country(meta::CountryCode country) {
   const auto s = country.to_string();
@@ -37,16 +48,7 @@ EventFrame EventFrame::from_columns(StudyWindow window, FrameColumns columns) {
     throw std::invalid_argument("EventFrame: start column is not sorted");
   EventFrame frame;
   frame.window_ = window;
-  frame.start_ = std::move(columns.start);
-  frame.end_ = std::move(columns.end);
-  frame.intensity_ = std::move(columns.intensity);
-  frame.target_ = std::move(columns.target);
-  frame.source_ = std::move(columns.source);
-  frame.ip_proto_ = std::move(columns.ip_proto);
-  frame.top_port_ = std::move(columns.top_port);
-  frame.asn_ = std::move(columns.asn);
-  frame.country_ = std::move(columns.country);
-  frame.day_ = std::move(columns.day);
+  frame.columns_ = std::move(columns);
   return frame;
 }
 
@@ -56,91 +58,29 @@ FrameBuilder::FrameBuilder(StudyWindow window,
     : window_(window), pfx2as_(&pfx2as), geo_(&geo) {}
 
 void FrameBuilder::add(const core::AttackEvent& event) {
-  Row row;
-  row.start = event.start;
-  row.end = event.end;
-  row.intensity = event.intensity;
-  row.target = event.target.value();
-  row.source = static_cast<std::uint8_t>(event.source);
-  row.ip_proto = event.ip_proto;
-  row.top_port = event.top_port;
-  row.asn = pfx2as_->origin(event.target);
-  row.country = pack_country(geo_->locate(event.target));
-  row.day = window_.event_day(event.start);
-  rows_.push_back(row);
+  columns_.start.push_back(event.start);
+  columns_.end.push_back(event.end);
+  columns_.intensity.push_back(event.intensity);
+  columns_.target.push_back(event.target.value());
+  columns_.source.push_back(static_cast<std::uint8_t>(event.source));
+  columns_.ip_proto.push_back(event.ip_proto);
+  columns_.top_port.push_back(event.top_port);
+  columns_.asn.push_back(pfx2as_->origin(event.target));
+  columns_.country.push_back(pack_country(geo_->locate(event.target)));
+  columns_.day.push_back(window_.event_day(event.start));
 }
 
 void FrameBuilder::add(std::span<const core::AttackEvent> events) {
-  rows_.reserve(rows_.size() + events.size());
+  const std::size_t n = size() + events.size();
+  for_each_column(columns_, [n](auto& column) { column.reserve(n); });
   for (const auto& event : events) add(event);
 }
 
-EventFrame FrameBuilder::build() const { return build(1); }
-
-EventFrame FrameBuilder::build(int threads) const {
-  // Total order: the trailing row index breaks (start, target, source) ties
-  // (e.g. a telescope and honeypot event fusing to the same key fields), so
-  // the permutation is unique and the parallel block-sort + merge lands on
-  // exactly the sequential std::sort result.
-  const auto less = [this](std::uint32_t a, std::uint32_t b) {
-    const Row& ra = rows_[a];
-    const Row& rb = rows_[b];
-    return std::tie(ra.start, ra.target, ra.source, a) <
-           std::tie(rb.start, rb.target, rb.source, b);
-  };
-
-  const std::size_t n = rows_.size();
-  std::vector<std::uint32_t> order;
-  if (threads <= 1 || n < 2) {
-    order.resize(n);
-    for (std::uint32_t i = 0; i < n; ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), less);
-  } else {
-    const std::size_t blocks =
-        std::min<std::size_t>(static_cast<std::size_t>(threads), n);
-    std::vector<std::vector<std::uint32_t>> runs(blocks);
-    parallel::run_tasks(blocks, threads, [&](std::size_t b) {
-      const std::size_t lo = n * b / blocks;
-      const std::size_t hi = n * (b + 1) / blocks;
-      auto& run = runs[b];
-      run.resize(hi - lo);
-      for (std::size_t i = lo; i < hi; ++i)
-        run[i - lo] = static_cast<std::uint32_t>(i);
-      std::sort(run.begin(), run.end(), less);
-    });
-    order = parallel::kway_merge(std::move(runs), less);
-  }
-
-  EventFrame frame;
-  frame.window_ = window_;
-  frame.start_.resize(n);
-  frame.end_.resize(n);
-  frame.intensity_.resize(n);
-  frame.target_.resize(n);
-  frame.source_.resize(n);
-  frame.ip_proto_.resize(n);
-  frame.top_port_.resize(n);
-  frame.asn_.resize(n);
-  frame.country_.resize(n);
-  frame.day_.resize(n);
-  // One task per column; each writes a disjoint vector, so the gather is
-  // race-free and trivially deterministic.
-  const std::function<void(std::size_t)> gather[] = {
-      [&](std::size_t i) { frame.start_[i] = rows_[order[i]].start; },
-      [&](std::size_t i) { frame.end_[i] = rows_[order[i]].end; },
-      [&](std::size_t i) { frame.intensity_[i] = rows_[order[i]].intensity; },
-      [&](std::size_t i) { frame.target_[i] = rows_[order[i]].target; },
-      [&](std::size_t i) { frame.source_[i] = rows_[order[i]].source; },
-      [&](std::size_t i) { frame.ip_proto_[i] = rows_[order[i]].ip_proto; },
-      [&](std::size_t i) { frame.top_port_[i] = rows_[order[i]].top_port; },
-      [&](std::size_t i) { frame.asn_[i] = rows_[order[i]].asn; },
-      [&](std::size_t i) { frame.country_[i] = rows_[order[i]].country; },
-      [&](std::size_t i) { frame.day_[i] = rows_[order[i]].day; },
-  };
-  parallel::run_tasks(std::size(gather), threads, [&](std::size_t column) {
-    for (std::size_t i = 0; i < n; ++i) gather[column](i);
-  });
-  return frame;
+EventFrame FrameBuilder::build() {
+  // A sealed frame lives as long as its snapshots; drop the push_back
+  // growth slack (a no-op for columns reserved to size by add(span)).
+  for_each_column(columns_, [](auto& column) { column.shrink_to_fit(); });
+  return EventFrame::from_columns(window_, std::exchange(columns_, {}));
 }
 
 }  // namespace dosm::query

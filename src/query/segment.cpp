@@ -1,7 +1,8 @@
 #include "query/segment.h"
 
+#include <algorithm>
 #include <limits>
-#include <map>
+#include <stdexcept>
 
 #include "obs/metrics.h"
 #include "obs/timer.h"
@@ -33,12 +34,10 @@ struct SegmentMetrics {
 
 }  // namespace
 
-std::shared_ptr<const FrameSegment> seal_segment(const FrameBuilder& builder,
-                                                 const BuildContext& ctx) {
+std::shared_ptr<const FrameSegment> seal_segment(FrameBuilder& builder) {
   SegmentMetrics& metrics = SegmentMetrics::get();
   const obs::ScopedTimer timer(metrics.seal_seconds);
-  auto segment =
-      std::make_shared<const FrameSegment>(builder.build(ctx.threads));
+  auto segment = std::make_shared<const FrameSegment>(builder.build());
   metrics.sealed.inc();
   metrics.rows_sealed.add(segment->size());
   return segment;
@@ -47,22 +46,16 @@ std::shared_ptr<const FrameSegment> seal_segment(const FrameBuilder& builder,
 std::vector<std::shared_ptr<const FrameSegment>> build_segments(
     StudyWindow window, std::span<const core::AttackEvent> events,
     const BuildContext& ctx) {
-  std::vector<std::shared_ptr<const FrameSegment>> segments;
-  if (events.empty()) return segments;
-
-  if (ctx.segment_days <= 0) {
-    FrameBuilder builder(window, ctx.pfx2as, ctx.geo);
-    builder.add(events);
-    segments.push_back(seal_segment(builder, ctx));
-    return segments;
-  }
+  if (!std::is_sorted(events.begin(), events.end(), core::canonical_less))
+    throw std::invalid_argument(
+        "build_segments: events must be in canonical order");
 
   // Bucket keys order like event starts: everything before the window,
   // then runs of segment_days window days, then everything at/after the
-  // window end. Ties in (start, target, source) share a start, hence a
-  // bucket, so concatenating the sealed buckets reproduces the monolithic
-  // sort order exactly (see segment.h).
+  // window end. The span is start-sorted, so each bucket is one contiguous
+  // run and a key change seals the run before it.
   const auto key_of = [&](const core::AttackEvent& event) {
+    if (ctx.segment_days <= 0) return 0;
     const int day = window.event_day(event.start);
     if (day >= 0) return day / ctx.segment_days;
     return static_cast<UnixSeconds>(event.start) < window.start_time()
@@ -70,19 +63,17 @@ std::vector<std::shared_ptr<const FrameSegment>> build_segments(
                : std::numeric_limits<int>::max();
   };
 
-  std::map<int, FrameBuilder> buckets;
-  for (const auto& event : events) {
-    const int key = key_of(event);
-    auto it = buckets.find(key);
-    if (it == buckets.end()) {
-      it = buckets.emplace(key, FrameBuilder(window, ctx.pfx2as, ctx.geo))
-               .first;
-    }
-    it->second.add(event);
+  std::vector<std::shared_ptr<const FrameSegment>> segments;
+  FrameBuilder builder(window, ctx.pfx2as, ctx.geo);
+  std::size_t begin = 0;
+  while (begin < events.size()) {
+    const int key = key_of(events[begin]);
+    std::size_t end = begin + 1;
+    while (end < events.size() && key_of(events[end]) == key) ++end;
+    builder.add(events.subspan(begin, end - begin));
+    segments.push_back(seal_segment(builder));
+    begin = end;
   }
-  segments.reserve(buckets.size());
-  for (const auto& [key, builder] : buckets)
-    segments.push_back(seal_segment(builder, ctx));
   return segments;
 }
 

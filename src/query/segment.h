@@ -8,12 +8,13 @@
 // previously sealed segment by pointer and pays only for the new day).
 //
 // Ordering invariant: segments are keyed by non-overlapping start-time
-// buckets (pre-window, window days, post-window). Rows inside a segment
-// are (start, target, source, insertion)-sorted by FrameBuilder, and every
-// start in bucket k is strictly less than every start in bucket k+1, so
-// the concatenation of a snapshot's segments is EXACTLY the row order of a
-// monolithic full rebuild — which is what lets the property suite demand
-// bit-identical aggregation results, row ids included, at any granularity.
+// buckets (pre-window, window days, post-window). The input events arrive
+// in canonical order (core::canonical_less) and each bucket is a
+// contiguous run of them, so every start in bucket k is strictly less than
+// every start in bucket k+1 and the concatenation of a snapshot's segments
+// is EXACTLY the row order of a monolithic full rebuild — which is what
+// lets the property suite demand bit-identical aggregation results, row
+// ids included, at any granularity.
 #pragma once
 
 #include <cstdint>
@@ -55,18 +56,19 @@ class FrameSegment {
   FrameIndex index_;
 };
 
-/// Seals one segment from an accumulated builder: parallel frame build
-/// (ctx.threads workers, byte-identical for any count) + index build, with
-/// query.segment.* seal metrics recorded. The builder must be non-empty.
-std::shared_ptr<const FrameSegment> seal_segment(const FrameBuilder& builder,
-                                                 const BuildContext& ctx);
+/// Seals one segment from an accumulated builder, which is left empty:
+/// frame build + index build, with query.segment.* seal metrics recorded.
+/// The builder must be non-empty.
+std::shared_ptr<const FrameSegment> seal_segment(FrameBuilder& builder);
 
-/// Buckets a raw event span by start time and seals one segment per
-/// non-empty bucket, in time order. ctx.segment_days controls granularity:
-/// 0 seals everything into a single segment; k > 0 groups window days into
-/// runs of k, with out-of-window events (if any) in their own pre/post
-/// buckets. The metadata in ctx is borrowed only for the duration of the
-/// call.
+/// Buckets a canonically ordered event span by start time and seals one
+/// segment per non-empty bucket, in time order. Throws
+/// std::invalid_argument when an event is canonically less than the one
+/// before it (core::canonical_less). ctx.segment_days controls
+/// granularity: 0 seals everything into a single segment; k > 0 groups
+/// window days into runs of k, with out-of-window events (if any) in their
+/// own pre/post buckets. The metadata in ctx is borrowed only for the
+/// duration of the call.
 std::vector<std::shared_ptr<const FrameSegment>> build_segments(
     StudyWindow window, std::span<const core::AttackEvent> events,
     const BuildContext& ctx);

@@ -546,7 +546,6 @@ std::vector<std::uint32_t> Snapshot::match_rows(const Query& query,
                  [&](const EventFrame&, std::uint32_t, std::uint32_t global) {
                    rows.push_back(global);
                  });
-  std::sort(rows.begin(), rows.end());
   return rows;
 }
 

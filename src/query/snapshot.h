@@ -10,8 +10,8 @@
 // predicates column-wise.
 //
 // Row ids are GLOBAL: segment concatenation order, which by the bucket
-// invariant equals the (start, target, source, insertion)-sorted order of
-// a monolithic build — so results, row ids included, are identical at any
+// invariant equals the canonical (core::canonical_less) input order of a
+// monolithic build — so results, row ids included, are identical at any
 // segment granularity.
 //
 // Snapshots are immutable after construction and published by shared_ptr
@@ -65,10 +65,12 @@ class Snapshot {
   Snapshot(const Snapshot&) = delete;
   Snapshot& operator=(const Snapshot&) = delete;
 
-  /// Builds a snapshot over a raw event span. Metadata and build knobs come
-  /// from the context (metadata borrowed only during the build);
+  /// Builds a snapshot over an event span in canonical order
+  /// (core::canonical_less); throws std::invalid_argument when an event is
+  /// canonically less than the one before it. Metadata and build knobs
+  /// come from the context (metadata borrowed only during the build);
   /// ctx.segment_days picks the segment granularity — every granularity
-  /// and thread count yields identical query results.
+  /// yields identical query results.
   static std::shared_ptr<const Snapshot> build(
       StudyWindow window, std::span<const core::AttackEvent> events,
       const BuildContext& ctx, std::uint64_t version = 0);

@@ -33,13 +33,11 @@ World::World(const ScenarioConfig& cfg)
   migrations = migration_model.apply(truth);
 
   Rng observe_rng = rng_.fork("observe");
-  auto observed = observe_all(truth, observe_rng, cfg.observation);
-  telescope_events = std::move(observed.telescope);
-  honeypot_events = std::move(observed.honeypot);
+  const auto observed = observe_all(truth, observe_rng, cfg.observation);
 
   dns.build_reverse_index();
   store = core::EventStore(window,
-                           core::fuse(telescope_events, honeypot_events));
+                           core::fuse(observed.telescope, observed.honeypot));
 }
 
 std::unique_ptr<World> build_world(const ScenarioConfig& config) {

@@ -59,8 +59,6 @@ class World {
 
   std::vector<GroundTruthAttack> truth;
   std::vector<MigrationRecord> migrations;  // ground-truth DNS changes
-  std::vector<telescope::TelescopeEvent> telescope_events;
-  std::vector<amppot::AmpPotEvent> honeypot_events;
 
   /// Both detectors' events, fused in canonical order.
   core::EventStore store;

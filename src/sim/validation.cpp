@@ -35,15 +35,16 @@ DetectorValidation validate_detectors(const World& world) {
   validation.telescope_by_intensity = decade_buckets(0.01, 7);
   validation.honeypot_by_intensity = decade_buckets(0.01, 7);
 
-  // Index detected events per target for overlap matching.
-  std::map<std::uint32_t, std::vector<const telescope::TelescopeEvent*>>
+  // Index detected events per source and target for overlap matching.
+  std::map<std::uint32_t, std::vector<const core::AttackEvent*>>
       telescope_by_target;
-  for (const auto& event : world.telescope_events)
-    telescope_by_target[event.victim.value()].push_back(&event);
-  std::map<std::uint32_t, std::vector<const amppot::AmpPotEvent*>>
+  std::map<std::uint32_t, std::vector<const core::AttackEvent*>>
       honeypot_by_target;
-  for (const auto& event : world.honeypot_events)
-    honeypot_by_target[event.victim.value()].push_back(&event);
+  for (const auto& event : world.store.events()) {
+    auto& by_target =
+        event.is_telescope() ? telescope_by_target : honeypot_by_target;
+    by_target[event.target.value()].push_back(&event);
+  }
 
   EmpiricalDistribution duration_errors;
   EmpiricalDistribution intensity_errors;
@@ -60,7 +61,7 @@ DetectorValidation validate_detectors(const World& world) {
       // attribute fidelity we additionally require a dominant overlap so
       // repeat attacks on the same target cannot cross-match.
       const auto it = telescope_by_target.find(attack.target.value());
-      const telescope::TelescopeEvent* best = nullptr;
+      const core::AttackEvent* best = nullptr;
       double best_overlap = 0.0;
       if (it != telescope_by_target.end()) {
         for (const auto* event : it->second) {
@@ -83,7 +84,7 @@ DetectorValidation validate_detectors(const World& world) {
           ++validation.matched_events;
           duration_errors.add(std::fabs(best->duration() - attack.duration_s) /
                               std::max(attack.duration_s, 1.0));
-          intensity_errors.add(std::fabs(best->max_pps - scope_rate) /
+          intensity_errors.add(std::fabs(best->intensity - scope_rate) /
                                std::max(scope_rate, 1e-9));
         }
       }
@@ -97,7 +98,7 @@ DetectorValidation validate_detectors(const World& world) {
       if (it != honeypot_by_target.end()) {
         for (const auto* event : it->second) {
           if (event->start <= attack_end && attack.start <= event->end &&
-              event->protocol == attack.reflector) {
+              event->reflection == attack.reflector) {
             detected = true;
             break;
           }

@@ -3,8 +3,9 @@
 # compares each paper-reproduction binary's exit code and stdout with the
 # checked-in <slug>.txt next to the manifest, byte for byte. These are the
 # printed tables and figures (Table 1-9, Figures 1-11, the joint-attack,
-# mail and Web-port analyses, the §6 bounding check, the quickstart,
-# hoster_under_attack and dps_migration_study examples) and the two
+# mail and Web-port analyses, the §6 bounding check, the detector
+# validation against ground truth, the quickstart, hoster_under_attack
+# and dps_migration_study examples) and the two
 # streaming demos (streaming_monitor drives fusion, query_dashboard the
 # snapshot publisher), so any change to the counting or day-closing rules
 # behind them shows up as a diff. Stderr carries progress chatter only and

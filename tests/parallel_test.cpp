@@ -21,7 +21,6 @@
 #include "parallel/work_queue.h"
 #include "parallel/workload.h"
 #include "telescope/backscatter.h"
-#include "query/event_frame.h"
 
 namespace dosm::parallel {
 namespace {
@@ -548,49 +547,6 @@ TEST(ParallelConsolidate, UnknownHoneypotIds) {
   for (const int threads : {1, 3, 8}) {
     expect_identical(parallel_consolidate(logs, {}, ParallelConfig{threads, 0}),
                      expected, "threads=" + std::to_string(threads));
-  }
-}
-
-// --- FrameBuilder parallel build ---------------------------------------
-
-TEST(ParallelFrameBuild, MatchesSequentialBuild) {
-  StudyWindow window;
-  window.end = civil_from_days(days_from_civil(window.start) + 7);
-  const meta::PrefixToAsMap pfx2as;
-  const meta::GeoDatabase geo;
-  query::FrameBuilder builder(window, pfx2as, geo);
-
-  Rng rng(99);
-  const double t0 = static_cast<double>(window.start_time());
-  for (int i = 0; i < 500; ++i) {
-    core::AttackEvent event;
-    // Small key space on purpose: duplicate (start, target, source) keys
-    // exercise the insertion-index tie-break.
-    event.target = Ipv4Addr(10, 0, 0, static_cast<std::uint8_t>(rng.next_below(16)));
-    event.start = t0 + static_cast<double>(rng.next_below(32)) * 3600.0;
-    event.end = event.start + 60.0;
-    event.source = rng.bernoulli(0.5) ? core::EventSource::kTelescope
-                                      : core::EventSource::kHoneypot;
-    event.intensity = static_cast<double>(i);
-    builder.add(event);
-  }
-
-  const query::EventFrame expected = builder.build();
-  for (const int threads : {1, 2, 4, 8}) {
-    const query::EventFrame frame = builder.build(threads);
-    ASSERT_EQ(frame.size(), expected.size()) << threads << " threads";
-    for (std::size_t row = 0; row < frame.size(); ++row) {
-      EXPECT_EQ(frame.start()[row], expected.start()[row]);
-      EXPECT_EQ(frame.end()[row], expected.end()[row]);
-      EXPECT_EQ(frame.intensity()[row], expected.intensity()[row]);
-      EXPECT_EQ(frame.target()[row], expected.target()[row]);
-      EXPECT_EQ(frame.source()[row], expected.source()[row]);
-      EXPECT_EQ(frame.ip_proto()[row], expected.ip_proto()[row]);
-      EXPECT_EQ(frame.top_port()[row], expected.top_port()[row]);
-      EXPECT_EQ(frame.asn()[row], expected.asn()[row]);
-      EXPECT_EQ(frame.country()[row], expected.country()[row]);
-      EXPECT_EQ(frame.day()[row], expected.day()[row]);
-    }
   }
 }
 

@@ -4,6 +4,7 @@
 // fixtures live in event_store_test.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -78,6 +79,8 @@ Scenario make_scenario(std::uint64_t seed, std::size_t num_events) {
     }
     s.events.push_back(event);
   }
+  // Snapshot::build takes its input in canonical order.
+  std::sort(s.events.begin(), s.events.end(), core::canonical_less);
   return s;
 }
 
@@ -189,39 +192,45 @@ INSTANTIATE_TEST_SUITE_P(Seeds, QueryPropertyTest,
                          ::testing::Values(1u, 7u, 42u, 20170301u));
 
 // ---------------------------------------------------------------------------
-// Segmented snapshots: any (segment_days, threads) combination must produce
-// results — global row ids included — identical to a single-segment full
-// rebuild and to the oracle. This pins the ordering invariant in segment.h.
+// Segmented snapshots: any segment_days must produce results — global row
+// ids included — identical to a single-segment full rebuild and to the
+// oracle. This pins the ordering invariant in segment.h.
 // ---------------------------------------------------------------------------
 
-using SegmentedParam = std::tuple<std::uint64_t, int, int>;
+using SegmentedParam = std::tuple<std::uint64_t, int>;
 
 class SegmentedSnapshotPropertyTest
     : public ::testing::TestWithParam<SegmentedParam> {};
 
 TEST_P(SegmentedSnapshotPropertyTest, AnyGranularityMatchesFullRebuild) {
-  const auto [seed, segment_days, threads] = GetParam();
+  const auto [seed, segment_days] = GetParam();
   const auto scenario = make_scenario(seed, 2000);
   const auto full =
       Snapshot::build(scenario.window, scenario.events,
                       BuildContext{scenario.pfx2as, scenario.geo});
   const auto segmented = Snapshot::build(
       scenario.window, scenario.events,
-      BuildContext{scenario.pfx2as, scenario.geo, threads, segment_days});
+      BuildContext{.pfx2as = scenario.pfx2as, .geo = scenario.geo,
+                   .segment_days = segment_days});
   const ScanOracle oracle(scenario.events, scenario.window, scenario.pfx2as,
                           scenario.geo);
 
   ASSERT_EQ(full->num_segments(), 1u);
   EXPECT_GT(segmented->num_segments(), 1u);
   ASSERT_EQ(segmented->size(), full->size());
-  EXPECT_EQ(segmented->match_rows(Query{}), full->match_rows(Query{}));
+  const auto all_rows = segmented->match_rows(Query{});
+  EXPECT_TRUE(std::is_sorted(all_rows.begin(), all_rows.end()));
+  EXPECT_EQ(all_rows, full->match_rows(Query{}));
 
   expect_equal_results(*segmented, oracle, Query{});
   Rng rng(seed ^ 0xa5a5a5a5u);
   for (int i = 0; i < 40; ++i) {
     const Query q = random_query(rng, scenario);
     expect_equal_results(*segmented, oracle, q);
-    EXPECT_EQ(segmented->match_rows(q), full->match_rows(q)) << to_string(q);
+    // match_rows emits global row ids ascending without sorting them.
+    const auto rows = segmented->match_rows(q);
+    EXPECT_TRUE(std::is_sorted(rows.begin(), rows.end())) << to_string(q);
+    EXPECT_EQ(rows, full->match_rows(q)) << to_string(q);
     // Per-segment index selection can only improve on the monolithic plan:
     // candidate totals never exceed the single-segment estimate.
     EXPECT_LE(segmented->plan(q).candidates, full->plan(q).candidates)
@@ -230,10 +239,9 @@ TEST_P(SegmentedSnapshotPropertyTest, AnyGranularityMatchesFullRebuild) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    GranularityAndThreads, SegmentedSnapshotPropertyTest,
+    Granularity, SegmentedSnapshotPropertyTest,
     ::testing::Combine(::testing::Values<std::uint64_t>(1u, 20170301u),
-                       ::testing::Values(1, 3, 7),
-                       ::testing::Values(1, 4, 8)));
+                       ::testing::Values(1, 3, 7)));
 
 TEST(QueryPlannerTest, PicksTheCheapestIndex) {
   const auto scenario = make_scenario(11, 3000);
@@ -313,6 +321,77 @@ TEST(QuerySnapshotTest, TimeRangeBoundariesAreHalfOpen) {
   const auto rows = snap->match_rows(q);
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(snap->start_at(rows[0]), day1);
+}
+
+// ---------------------------------------------------------------------------
+// Input order contract: Snapshot::build and SnapshotPublisher::ingest take
+// events in core::canonical_less order and keep it as the row order.
+// ---------------------------------------------------------------------------
+
+class QueryOrderContractTest : public ::testing::Test {
+ protected:
+  QueryOrderContractTest() {
+    window_.end = civil_from_days(days_from_civil(window_.start) + 4);
+  }
+
+  AttackEvent event(int day, std::uint8_t host) const {
+    AttackEvent e;
+    e.target = Ipv4Addr(10, 0, 0, host);
+    e.start = static_cast<double>(window_.day_start(day)) + 600.0;
+    e.end = e.start + 60.0;
+    return e;
+  }
+
+  StudyWindow window_;
+  meta::PrefixToAsMap pfx2as_;
+  meta::GeoDatabase geo_;
+};
+
+TEST_F(QueryOrderContractTest, BuildRejectsSameStartTargetInversion) {
+  const std::vector<AttackEvent> events{event(1, 2), event(1, 1)};
+  EXPECT_THROW(Snapshot::build(window_, events, BuildContext{pfx2as_, geo_}),
+               std::invalid_argument);
+}
+
+TEST_F(QueryOrderContractTest, BuildRejectsInversionAcrossBuckets) {
+  // One bucket per day: each bucket alone is in order, the span is not.
+  const std::vector<AttackEvent> events{event(2, 1), event(1, 1)};
+  EXPECT_THROW(Snapshot::build(window_, events,
+                               BuildContext{.pfx2as = pfx2as_, .geo = geo_,
+                                            .segment_days = 1}),
+               std::invalid_argument);
+}
+
+TEST_F(QueryOrderContractTest, PublisherRejectsSameStartInversion) {
+  QueryEngine engine;
+  SnapshotPublisher publisher(engine, window_, BuildContext{pfx2as_, geo_});
+  publisher.ingest(event(1, 2));
+  EXPECT_THROW(publisher.ingest(event(1, 1)), std::invalid_argument);
+  publisher.ingest(event(1, 2));  // an equal event is not an inversion
+  EXPECT_EQ(publisher.events_ingested(), 2u);
+}
+
+TEST_F(QueryOrderContractTest, TiedHoneypotEventsKeepReflectionOrder) {
+  // Three events on one (start, target): the telescope's first, then the
+  // honeypots' by reflection protocol. Intensity tags each row.
+  std::vector<AttackEvent> events(3, event(1, 1));
+  events[0].intensity = 1.0;
+  for (std::size_t i = 1; i < events.size(); ++i)
+    events[i].source = EventSource::kHoneypot;
+  events[1].reflection = amppot::ReflectionProtocol::kDns;
+  events[1].intensity = 2.0;
+  events[2].reflection = amppot::ReflectionProtocol::kNtp;
+  events[2].intensity = 3.0;
+  ASSERT_TRUE(std::is_sorted(events.begin(), events.end(),
+                             core::canonical_less));
+
+  const auto snap =
+      Snapshot::build(window_, events, BuildContext{pfx2as_, geo_});
+  ASSERT_EQ(snap->size(), events.size());
+  for (std::uint32_t row = 0; row < events.size(); ++row) {
+    EXPECT_EQ(snap->source_at(row), events[row].source) << row;
+    EXPECT_EQ(snap->intensity_at(row), events[row].intensity) << row;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -424,7 +503,8 @@ TEST(QueryBudgetTest, RowBudgetIsIdenticalAcrossSegmentGranularities) {
   for (const int days : granularities)
     snaps.push_back(Snapshot::build(
         scenario.window, scenario.events,
-        BuildContext{scenario.pfx2as, scenario.geo, 1, days}));
+        BuildContext{.pfx2as = scenario.pfx2as, .geo = scenario.geo,
+                     .segment_days = days}));
 
   // Find a query whose candidate counts differ across granularities AND
   // exceed its matched count — exactly the shape where candidate-charging

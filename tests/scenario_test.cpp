@@ -2,6 +2,8 @@
 // deterministic, and produce events in both datasets with sane invariants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/ports.h"
 #include "dps/classifier.h"
 #include "query/snapshot.h"
@@ -24,24 +26,32 @@ class ScenarioTest : public ::testing::Test {
 
 sim::World* ScenarioTest::world_ = nullptr;
 
+std::size_t count_source(const sim::World& world, core::EventSource source) {
+  const auto events = world.store.events();
+  return static_cast<std::size_t>(
+      std::count_if(events.begin(), events.end(),
+                    [&](const auto& event) { return event.source == source; }));
+}
+
 TEST_F(ScenarioTest, ProducesEventsInBothDatasets) {
-  EXPECT_GT(world_->telescope_events.size(), 100u);
-  EXPECT_GT(world_->honeypot_events.size(), 100u);
-  EXPECT_EQ(world_->store.size(),
-            world_->telescope_events.size() + world_->honeypot_events.size());
+  EXPECT_GT(count_source(*world_, core::EventSource::kTelescope), 100u);
+  EXPECT_GT(count_source(*world_, core::EventSource::kHoneypot), 100u);
 }
 
 TEST_F(ScenarioTest, EventsRespectDetectionThresholds) {
+  // Checked on the fused events: intensity holds the telescope's max pps,
+  // packets the honeypots' request count.
   const auto& thresholds = world_->config.observation.telescope_thresholds;
-  for (const auto& event : world_->telescope_events) {
-    EXPECT_GE(event.packets, thresholds.min_packets);
-    EXPECT_GE(event.duration(), thresholds.min_duration_s);
-    EXPECT_GE(event.max_pps, thresholds.min_max_pps);
-  }
-  for (const auto& event : world_->honeypot_events) {
-    EXPECT_GT(event.requests, world_->config.observation.amppot_config.min_requests);
-    EXPECT_LE(event.duration(),
-              world_->config.observation.amppot_config.max_duration_s + 1.0);
+  const auto& honeypots = world_->config.observation.amppot_config;
+  for (const auto& event : world_->store.events()) {
+    if (event.is_telescope()) {
+      EXPECT_GE(event.packets, thresholds.min_packets);
+      EXPECT_GE(event.duration(), thresholds.min_duration_s);
+      EXPECT_GE(event.intensity, thresholds.min_max_pps);
+    } else {
+      EXPECT_GT(event.packets, honeypots.min_requests);
+      EXPECT_LE(event.duration(), honeypots.max_duration_s + 1.0);
+    }
   }
 }
 
@@ -88,8 +98,9 @@ TEST_F(ScenarioTest, NtpLeadsReflectionVectors) {
 TEST_F(ScenarioTest, DeterministicAcrossRebuilds) {
   const auto again = sim::build_world(sim::ScenarioConfig::small());
   EXPECT_EQ(again->truth.size(), world_->truth.size());
-  EXPECT_EQ(again->telescope_events.size(), world_->telescope_events.size());
-  EXPECT_EQ(again->honeypot_events.size(), world_->honeypot_events.size());
+  EXPECT_EQ(again->store.size(), world_->store.size());
+  EXPECT_EQ(count_source(*again, core::EventSource::kTelescope),
+            count_source(*world_, core::EventSource::kTelescope));
   EXPECT_EQ(again->migrations.size(), world_->migrations.size());
   ASSERT_FALSE(again->truth.empty());
   EXPECT_EQ(again->truth.front().target, world_->truth.front().target);

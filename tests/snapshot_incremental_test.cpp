@@ -35,6 +35,10 @@ class SegmentBucketingTest : public ::testing::Test {
   SegmentBucketingTest() {
     window_.end = civil_from_days(days_from_civil(window_.start) + 9);
   }
+  BuildContext ctx(int segment_days) const {
+    return {.pfx2as = pfx2as_, .geo = geo_, .segment_days = segment_days};
+  }
+
   StudyWindow window_{};
   meta::PrefixToAsMap pfx2as_;
   meta::GeoDatabase geo_;
@@ -47,18 +51,15 @@ TEST_F(SegmentBucketingTest, SegmentDaysControlsGranularity) {
     events.push_back(event_at(window_, day, 200.0));
   }
 
-  const auto single =
-      build_segments(window_, events, BuildContext{pfx2as_, geo_});
+  const auto single = build_segments(window_, events, ctx(0));
   ASSERT_EQ(single.size(), 1u);
   EXPECT_EQ(single[0]->size(), events.size());
 
-  const auto daily =
-      build_segments(window_, events, BuildContext{pfx2as_, geo_, 1, 1});
+  const auto daily = build_segments(window_, events, ctx(1));
   ASSERT_EQ(daily.size(), 9u);
   for (const auto& segment : daily) EXPECT_EQ(segment->size(), 2u);
 
-  const auto coarse =
-      build_segments(window_, events, BuildContext{pfx2as_, geo_, 1, 4});
+  const auto coarse = build_segments(window_, events, ctx(4));
   ASSERT_EQ(coarse.size(), 3u);  // days 0-3, 4-7, 8
   EXPECT_EQ(coarse[0]->size(), 8u);
   EXPECT_EQ(coarse[1]->size(), 8u);
@@ -80,8 +81,7 @@ TEST_F(SegmentBucketingTest, OutOfWindowEventsGetTheirOwnBuckets) {
   events.push_back(event_at(window_, 6, 100.0));
   events.push_back(after);
 
-  const auto segments =
-      build_segments(window_, events, BuildContext{pfx2as_, geo_, 1, 5});
+  const auto segments = build_segments(window_, events, ctx(5));
   // pre-window, days 0-4, days 5-8 (9-day window), post-window.
   ASSERT_EQ(segments.size(), 4u);
   for (const auto& segment : segments) EXPECT_EQ(segment->size(), 1u);
@@ -100,8 +100,7 @@ TEST_F(SegmentBucketingTest, OutOfWindowEventsGetTheirOwnBuckets) {
 TEST_F(SegmentBucketingTest, SnapshotRejectsMisorderedOrNullSegments) {
   std::vector<AttackEvent> events{event_at(window_, 1, 0.0),
                                   event_at(window_, 5, 0.0)};
-  auto segments =
-      build_segments(window_, events, BuildContext{pfx2as_, geo_, 1, 1});
+  auto segments = build_segments(window_, events, ctx(1));
   ASSERT_EQ(segments.size(), 2u);
   std::swap(segments[0], segments[1]);
   EXPECT_THROW(Snapshot(window_, segments, 1), std::invalid_argument);

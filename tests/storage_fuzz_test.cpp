@@ -58,7 +58,8 @@ std::string valid_archive() {
   const meta::PrefixToAsMap pfx2as;
   const meta::GeoDatabase geo;
   const auto snapshot = query::Snapshot::build(
-      window, events, query::BuildContext{pfx2as, geo, 1, /*segment_days=*/2});
+      window, events,
+      query::BuildContext{.pfx2as = pfx2as, .geo = geo, .segment_days = 2});
 
   const std::string path = scratch_path();
   write_archive(path, *snapshot);

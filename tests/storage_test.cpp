@@ -176,8 +176,9 @@ std::shared_ptr<const query::Snapshot> world_snapshot(
     const sim::World& world, int segment_days) {
   return query::Snapshot::build(
       world.store.window(), world.store.events(),
-      query::BuildContext{world.population.pfx2as(), world.population.geo(),
-                          /*threads=*/1, segment_days});
+      query::BuildContext{.pfx2as = world.population.pfx2as(),
+                          .geo = world.population.geo(),
+                          .segment_days = segment_days});
 }
 
 template <typename T>
@@ -444,7 +445,8 @@ TEST(ZoneMapTest, TimeClippedQueriesSkipColdSegmentsAndBlocks) {
   const meta::PrefixToAsMap pfx2as;
   const meta::GeoDatabase geo;
   const auto hot = query::Snapshot::build(
-      window, events, query::BuildContext{pfx2as, geo, 1, /*segment_days=*/0});
+      window, events,
+      query::BuildContext{.pfx2as = pfx2as, .geo = geo, .segment_days = 0});
   ASSERT_EQ(hot->num_segments(), 1u);
   const TempFile file(temp_path("dosm_zones.dosarch"));
   write_archive(file.path, *hot);
@@ -518,7 +520,7 @@ TEST(GoldenArchiveTest, V1ArchiveLoadsForever) {
   const meta::GeoDatabase geo;
   const auto expected = query::Snapshot::build(
       golden_window(), events,
-      query::BuildContext{pfx2as, geo, 1, /*segment_days=*/3});
+      query::BuildContext{.pfx2as = pfx2as, .geo = geo, .segment_days = 3});
 
   query::BuildContext ctx{pfx2as, geo};
   ctx.hot_days = 0;

@@ -210,7 +210,6 @@ void add_query_flags(Flags& flags, serve::Params& params) {
 struct Dataset {
   sim::ScenarioConfig scenario;
   std::string load_events;  // binary event dump instead of a simulated world
-  int threads = 1;
   int segment_days = 0;
 };
 
@@ -220,9 +219,8 @@ void add_dataset_flags(Flags& flags, Dataset& data) {
   flags.push_back(text("--load-events", data.load_events));
 }
 
-/// --threads/--segment-days: byte-identical output for any value.
+/// --segment-days: byte-identical output for any value.
 void add_build_flags(Flags& flags, Dataset& data) {
-  flags.push_back(number("--threads", data.threads, 1));
   flags.push_back(number("--segment-days", data.segment_days));
 }
 
@@ -265,7 +263,6 @@ std::shared_ptr<const query::Snapshot> build_snapshot(const Dataset& data,
       loaded.world ? query::BuildContext{loaded.world->population.pfx2as(),
                                          loaded.world->population.geo()}
                    : bare_context();
-  ctx.threads = data.threads;
   ctx.segment_days = data.segment_days;
   return query::Snapshot::build(loaded.store.window(), loaded.store.events(),
                                 ctx, /*version=*/1);
@@ -470,8 +467,6 @@ constexpr std::string_view kQueryHelp =
     "  --agg A    summary | daily | top-targets | top-asns | top-countries\n"
     "             | events   (default: summary)\n"
     "  --k N      rows for top-k / events listings (default 10)\n"
-    "  --threads N  worker threads for the snapshot build (default 1;\n"
-    "               identical output for any value)\n"
     "  --segment-days N  days per sealed snapshot segment (default 0 =\n"
     "               one segment; identical output for any value)\n"
     "  --explain  print the planner's chosen access path\n"
@@ -711,7 +706,6 @@ constexpr std::string_view kServeHelp =
     "                    0 disables caching)\n"
     "  --max-rows N      per-query row budget -> 422 (default unlimited)\n"
     "  --max-millis N    per-query time budget -> 422 (default unlimited)\n"
-    "  --threads N       snapshot build threads (default 1)\n"
     "  --segment-days N  days per snapshot segment (default 0 = one)\n"
     "subscriptions:\n"
     "  --tick-millis N   delay between replayed study days on the live\n"
@@ -897,7 +891,7 @@ int watch_main(int argc, char** argv) {
 
 constexpr std::string_view kArchiveHelp =
     "dosmeter archive — compressed on-disk segment archives (src/storage)\n"
-    "  dosmeter archive save --file F [dataset] [--threads N]\n"
+    "  dosmeter archive save --file F [dataset]\n"
     "                        [--segment-days N (default 7)]\n"
     "    seals the dataset's snapshot segments into archive F and prints\n"
     "    the compression ratio vs the raw in-memory columns.\n"

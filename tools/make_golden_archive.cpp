@@ -57,7 +57,7 @@ int run(const std::string& out_path) {
   const meta::GeoDatabase geo;
   const auto snapshot = query::Snapshot::build(
       golden_window(), events,
-      query::BuildContext{pfx2as, geo, 1, /*segment_days=*/3});
+      query::BuildContext{.pfx2as = pfx2as, .geo = geo, .segment_days = 3});
   const std::uint64_t bytes = storage::write_archive(out_path, *snapshot);
   std::printf("wrote %s: %zu events, %zu segments, %llu bytes\n",
               out_path.c_str(), snapshot->size(), snapshot->num_segments(),
