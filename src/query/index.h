@@ -1,21 +1,23 @@
 // Secondary indexes over an EventFrame.
 //
-// Three families, all built in one pass over the sorted frame:
+// Two families over each sealed or decoded segment:
 //
 //   time    — rows are sorted by start, so a time-range filter is two
-//             binary searches yielding a contiguous row range, and each
-//             window day maps to a precomputed [begin, end) row range.
-//   hash    — equality postings (sorted row-id vectors) keyed by target
-//             /32, target /24, origin ASN, country, and top port.
+//             binary searches yielding a contiguous row range.
+//   sorted  — equality postings keyed by target /32, target /24, origin
+//             ASN, country, and top port. Each family is one flat layout:
+//             the (key, row) pair of every row, sorted by key then row into
+//             a `keys` column and a parallel `rows` column (8 B/row, no
+//             per-key allocation). A lookup is an equal_range over `keys`
+//             that returns the matching run of `rows`.
 //
-// The postings vectors are ascending by construction (rows are visited in
-// order), which the executor exploits to clip them against a time range
-// with two more binary searches instead of per-row checks.
+// Within one key the rows are ascending, which the executor exploits to
+// clip postings against a time range with two more binary searches instead
+// of per-row checks.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "query/event_frame.h"
@@ -41,32 +43,24 @@ class FrameIndex {
   /// start-sorted.
   RowRange time_range(double t0, double t1) const;
 
-  /// Rows whose start falls on the given window day (0-based offset).
-  RowRange day_range(int day) const;
-
-  /// Equality postings; empty span when the key was never seen.
+  /// Equality postings, ascending; empty span when the key was never seen.
   std::span<const std::uint32_t> by_target(std::uint32_t addr) const;
   std::span<const std::uint32_t> by_slash24(std::uint32_t network) const;
   std::span<const std::uint32_t> by_asn(meta::Asn asn) const;
   std::span<const std::uint32_t> by_country(PackedCountry country) const;
   std::span<const std::uint32_t> by_port(std::uint16_t port) const;
 
-  std::size_t num_targets() const { return target_.size(); }
-  std::size_t num_slash24() const { return slash24_.size(); }
-  std::size_t num_asns() const { return asn_.size(); }
-  std::size_t num_countries() const { return country_.size(); }
-  std::size_t num_ports() const { return port_.size(); }
-
  private:
-  using Postings = std::unordered_map<std::uint32_t, std::vector<std::uint32_t>>;
+  /// One posting family: row rows[i] carries key keys[i]. keys is
+  /// ascending, and so is rows within one key.
+  struct Postings {
+    std::vector<std::uint32_t> keys;
+    std::vector<std::uint32_t> rows;
 
-  static std::span<const std::uint32_t> find(const Postings& postings,
-                                             std::uint32_t key);
+    std::span<const std::uint32_t> find(std::uint32_t key) const;
+  };
 
   const EventFrame* frame_ = nullptr;
-  // day -> [begin, end) row range; out-of-window rows sort to the edges and
-  // belong to no day.
-  std::vector<RowRange> day_rows_;
   Postings target_;
   Postings slash24_;
   Postings asn_;

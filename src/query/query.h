@@ -120,11 +120,11 @@ struct AsnCount {
 enum class IndexChoice : std::uint8_t {
   kFullScan,   // no usable index; verify every row
   kTimeRange,  // contiguous start-sorted row range
-  kTarget32,   // exact-target hash postings
-  kSlash24,    // /24 hash postings
-  kAsn,        // origin-AS hash postings
-  kCountry,    // country hash postings
-  kPort,       // top-port hash postings
+  kTarget32,   // exact-target postings
+  kSlash24,    // /24 postings
+  kAsn,        // origin-AS postings
+  kCountry,    // country postings
+  kPort,       // top-port postings
 };
 
 std::string to_string(IndexChoice choice);

@@ -6,6 +6,7 @@
 #include <mutex>
 #include <stdexcept>
 
+#include "obs/timer.h"
 #include "storage/codec.h"
 #include "storage/metrics.h"
 
@@ -260,6 +261,7 @@ ArchiveReader::~ArchiveReader() = default;
 std::shared_ptr<const query::FrameSegment> ArchiveReader::load(
     std::uint32_t id) const {
   Metrics& metrics = Metrics::get();
+  obs::ScopedTimer timer(metrics.load_seconds);
   const SegmentMeta& meta = meta_.at(id);
   std::vector<std::uint8_t> blob(meta.length);
   {

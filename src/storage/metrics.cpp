@@ -1,5 +1,7 @@
 #include "storage/metrics.h"
 
+#include "obs/timer.h"
+
 namespace dosm::storage {
 
 Metrics& Metrics::get() {
@@ -16,6 +18,9 @@ Metrics& Metrics::get() {
                     "Cold segments decoded from an archive"),
         reg.counter("storage.segment.bytes_read",
                     "Compressed blob bytes read for cold loads"),
+        reg.histogram("storage.load_seconds",
+                      "Cold segment load time: read, CRC, decode, index build",
+                      obs::latency_buckets()),
         reg.counter("storage.cache.hits", "Segment-cache hits"),
         reg.counter("storage.cache.misses", "Segment-cache misses"),
         reg.counter("storage.cache.evictions",

@@ -17,6 +17,7 @@ struct Metrics {
   // Archive reader / cold loads.
   obs::Counter& segment_loads;  // blobs decoded from disk
   obs::Counter& bytes_read;
+  obs::Histogram& load_seconds;  // read + CRC + decode + index build
 
   // Segment cache (tiered store).
   obs::Counter& cache_hits;

@@ -9,12 +9,12 @@
 // FrameSegment the writer archived, so every aggregation result matches a
 // fully resident snapshot exactly — at any cache budget, including 0.
 //
-// Cache policy: strict LRU over decoded segments, charged at an estimated
-// decoded footprint (frame columns + index postings). A segment larger than
-// the whole budget is served without being cached; budget 0 disables the
-// cache entirely (each access decodes afresh). Evicted segments stay alive
-// as long as a running query pins them (shared_ptr), so eviction can never
-// dangle a scan.
+// Cache policy: strict LRU over decoded segments, each charged its decoded
+// footprint (frame columns + index postings, kDecodedBytesPerRow per row).
+// A segment larger than the whole budget is served without being cached;
+// budget 0 disables the cache entirely (each access decodes afresh).
+// Evicted segments stay alive as long as a running query pins them
+// (shared_ptr), so eviction can never dangle a scan.
 #pragma once
 
 #include <cstddef>
@@ -32,11 +32,22 @@
 
 namespace dosm::storage {
 
-/// Estimated resident bytes of a decoded segment: 42 B/row of frame columns
-/// plus ~30 B/row of postings/index. An estimate is fine — the budget is a
-/// working-set knob, not an allocator — but it must be deterministic, so it
-/// is a pure function of the row count.
-inline constexpr std::size_t kDecodedBytesPerRow = 72;
+/// Resident bytes of a decoded segment per row: the ten frame columns
+/// (query::FrameColumns) plus FrameIndex's five posting families, each a
+/// u32 key and a u32 row id per row. Heap headers and the segment object
+/// itself are left out — the budget is a working-set knob, not an
+/// allocator — so the charge is a pure function of the row count and
+/// therefore deterministic.
+inline constexpr std::size_t kDecodedBytesPerRow =
+    3 * sizeof(double)                  // start, end, intensity
+    + sizeof(std::uint32_t)             // target
+    + 2 * sizeof(std::uint8_t)          // source, ip_proto
+    + sizeof(std::uint16_t)             // top_port
+    + sizeof(meta::Asn)                 // asn
+    + sizeof(query::PackedCountry)      // country
+    + sizeof(std::int32_t)              // day
+    + 5 * 2 * sizeof(std::uint32_t);    // postings: key + row per family
+static_assert(kDecodedBytesPerRow == 82);
 
 /// SegmentProvider over one archive: LRU-cached decodes plus zone-map
 /// clipping, with storage.cache.* / storage.zone.* metrics. Thread-safe.

@@ -5,6 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <functional>
+#include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -262,7 +266,7 @@ TEST(QueryPlannerTest, PicksTheCheapestIndex) {
   by_slash24.in_prefix(net::Prefix(scenario.pool[0], 24));
   EXPECT_EQ(snap->plan(by_slash24).choice, IndexChoice::kSlash24);
 
-  // A /8 prefix has no hash index; with no other filter it full-scans.
+  // A /8 prefix has no posting family; with no other filter it full-scans.
   Query by_slash8;
   by_slash8.in_prefix(net::Prefix(scenario.pool[0], 8));
   EXPECT_EQ(snap->plan(by_slash8).choice, IndexChoice::kFullScan);
@@ -321,6 +325,205 @@ TEST(QuerySnapshotTest, TimeRangeBoundariesAreHalfOpen) {
   const auto rows = snap->match_rows(q);
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(snap->start_at(rows[0]), day1);
+}
+
+// ---------------------------------------------------------------------------
+// FrameIndex: each posting family returns, for every key, exactly the
+// ascending rows whose column carries it; absent keys return nothing; and
+// time_range agrees with a linear count at every boundary.
+// ---------------------------------------------------------------------------
+
+/// One posting family: the key a row carries, the index lookup, and the
+/// largest key the lookup's parameter type can express.
+struct PostingFamily {
+  const char* name;
+  std::function<std::uint32_t(std::uint32_t row)> key_of;
+  std::function<std::span<const std::uint32_t>(std::uint32_t key)> lookup;
+  std::uint32_t max_key;
+  std::uint32_t key_step;  // distance between adjacent keys (0x100 for /24s)
+};
+
+std::vector<PostingFamily> posting_families(const FrameSegment& seg) {
+  const auto& frame = seg.frame();
+  const auto& index = seg.index();
+  return {
+      {"target", [&frame](std::uint32_t r) { return frame.target()[r]; },
+       [&index](std::uint32_t k) { return index.by_target(k); }, 0xffffffffu,
+       1},
+      {"slash24",
+       [&frame](std::uint32_t r) { return frame.target()[r] & 0xffffff00u; },
+       [&index](std::uint32_t k) { return index.by_slash24(k); }, 0xffffff00u,
+       0x100},
+      {"asn", [&frame](std::uint32_t r) { return frame.asn()[r]; },
+       [&index](std::uint32_t k) { return index.by_asn(k); }, 0xffffffffu, 1},
+      {"country",
+       [&frame](std::uint32_t r) {
+         return static_cast<std::uint32_t>(frame.country()[r]);
+       },
+       [&index](std::uint32_t k) {
+         return index.by_country(static_cast<PackedCountry>(k));
+       },
+       0xffffu, 1},
+      {"port",
+       [&frame](std::uint32_t r) {
+         return static_cast<std::uint32_t>(frame.top_port()[r]);
+       },
+       [&index](std::uint32_t k) {
+         return index.by_port(static_cast<std::uint16_t>(k));
+       },
+       0xffffu, 1},
+  };
+}
+
+std::vector<std::uint32_t> to_vector(std::span<const std::uint32_t> rows) {
+  return {rows.begin(), rows.end()};
+}
+
+void expect_exact_postings(const FrameSegment& seg) {
+  for (const auto& family : posting_families(seg)) {
+    std::map<std::uint32_t, std::vector<std::uint32_t>> expected;
+    for (std::uint32_t row = 0; row < seg.size(); ++row)
+      expected[family.key_of(row)].push_back(row);
+    for (const auto& [key, rows] : expected)
+      EXPECT_EQ(to_vector(family.lookup(key)), rows)
+          << family.name << " key " << key;
+
+    std::vector<std::uint32_t> absent = {0, family.max_key};
+    for (auto it = expected.begin(); std::next(it) != expected.end(); ++it) {
+      if (std::next(it)->first - it->first > family.key_step) {
+        absent.push_back(it->first + family.key_step);
+        break;
+      }
+    }
+    for (const auto key : absent) {
+      if (expected.count(key) != 0) continue;
+      EXPECT_TRUE(family.lookup(key).empty())
+          << family.name << " absent key " << key;
+    }
+  }
+}
+
+/// time_range(t0, t1) against a linear count, for every pair of probes.
+void expect_time_ranges(const FrameSegment& seg,
+                        const std::vector<double>& probes) {
+  const auto start = seg.frame().start();
+  const auto rows_before = [&](double t) {
+    return static_cast<std::uint32_t>(
+        std::count_if(start.begin(), start.end(),
+                      [t](double s) { return s < t; }));
+  };
+  for (const double t0 : probes) {
+    for (const double t1 : probes) {
+      if (t1 < t0) continue;
+      const RowRange range = seg.index().time_range(t0, t1);
+      EXPECT_EQ(range.begin, rows_before(t0)) << t0 << ' ' << t1;
+      EXPECT_EQ(range.end, rows_before(t1)) << t0 << ' ' << t1;
+    }
+  }
+}
+
+/// Every segment start and end, every window day boundary, and the
+/// neighbours of each.
+std::vector<double> time_probes(const Snapshot& snap, StudyWindow window) {
+  std::vector<double> probes = {-1e18, 1e18};
+  const auto add = [&probes](double t) {
+    probes.push_back(std::nextafter(t, -1e18));
+    probes.push_back(t);
+    probes.push_back(std::nextafter(t, 1e18));
+  };
+  for (const auto& seg : snap.segments()) {
+    add(seg->start_min());
+    add(seg->start_max());
+  }
+  for (int day = 0; day <= window.num_days(); ++day)
+    add(static_cast<double>(window.day_start(day)));
+  return probes;
+}
+
+class FrameIndexTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(FrameIndexTest, PostingsListExactlyTheRowsCarryingEachKey) {
+  const auto scenario = make_scenario(0x1d3c5, 1500);
+  const auto snap = Snapshot::build(
+      scenario.window, scenario.events,
+      BuildContext{.pfx2as = scenario.pfx2as, .geo = scenario.geo,
+                   .segment_days = GetParam()});
+  ASSERT_EQ(snap->num_segments() > 1, GetParam() > 0);
+  for (const auto& seg : snap->segments()) expect_exact_postings(*seg);
+}
+
+TEST_P(FrameIndexTest, TimeRangeIsExactAtSegmentBoundaries) {
+  const auto scenario = make_scenario(0x7e11, 800);
+  const auto snap = Snapshot::build(
+      scenario.window, scenario.events,
+      BuildContext{.pfx2as = scenario.pfx2as, .geo = scenario.geo,
+                   .segment_days = GetParam()});
+  const auto probes = time_probes(*snap, scenario.window);
+  for (const auto& seg : snap->segments()) expect_time_ranges(*seg, probes);
+}
+
+TEST_P(FrameIndexTest, UnknownAsnAndPortZeroAreEmptyWhenNoRowHasThem) {
+  auto scenario = make_scenario(0x5eed, 1500);
+  // Keep telescope events on a real port in announced space (second octet
+  // below 4, see make_scenario).
+  std::erase_if(scenario.events, [](const AttackEvent& e) {
+    return e.top_port == 0 || ((e.target.value() >> 16) & 0xffu) >= 4;
+  });
+  ASSERT_GT(scenario.events.size(), 100u);
+  const auto snap = Snapshot::build(
+      scenario.window, scenario.events,
+      BuildContext{.pfx2as = scenario.pfx2as, .geo = scenario.geo,
+                   .segment_days = GetParam()});
+  for (const auto& seg : snap->segments()) {
+    const auto asn = seg->frame().asn();
+    ASSERT_TRUE(std::none_of(asn.begin(), asn.end(), [](meta::Asn a) {
+      return a == meta::kUnknownAsn;
+    }));
+    EXPECT_TRUE(seg->index().by_asn(meta::kUnknownAsn).empty());
+    EXPECT_TRUE(seg->index().by_port(0).empty());
+    expect_exact_postings(*seg);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(SegmentDays, FrameIndexTest, ::testing::Values(0, 1));
+
+TEST(FrameIndexOneRowTest, PostingsAndTimeRange) {
+  StudyWindow window;
+  window.end = civil_from_days(days_from_civil(window.start) + 4);
+  meta::PrefixToAsMap pfx2as;
+  pfx2as.announce(net::Prefix(Ipv4Addr(10, 1, 0, 0), 16), 64500);
+  meta::GeoDatabase geo;
+  geo.add(net::Prefix(Ipv4Addr(10, 0, 0, 0), 8), meta::CountryCode("DE"));
+
+  AttackEvent event;
+  event.target = Ipv4Addr(10, 1, 2, 3);
+  event.start = static_cast<double>(window.day_start(2)) + 10.0;
+  event.end = event.start + 60.0;
+  event.top_port = 443;
+  const std::vector<AttackEvent> events{event};
+  const auto snap = Snapshot::build(window, events, BuildContext{pfx2as, geo});
+  ASSERT_EQ(snap->num_segments(), 1u);
+  const auto& seg = *snap->segments()[0];
+  const auto& index = seg.index();
+  const std::vector<std::uint32_t> row0 = {0};
+
+  EXPECT_EQ(to_vector(index.by_target(event.target.value())), row0);
+  EXPECT_EQ(to_vector(index.by_slash24(event.target.value())), row0);
+  EXPECT_EQ(to_vector(index.by_asn(64500)), row0);
+  EXPECT_EQ(to_vector(index.by_country(pack_country(meta::CountryCode("DE")))),
+            row0);
+  EXPECT_EQ(to_vector(index.by_port(443)), row0);
+  EXPECT_TRUE(index.by_target(event.target.value() + 1).empty());
+  EXPECT_TRUE(index.by_slash24(event.target.value() + 0x100).empty());
+  EXPECT_TRUE(index.by_asn(meta::kUnknownAsn).empty());
+  EXPECT_TRUE(index.by_country(pack_country(meta::CountryCode("US"))).empty());
+  EXPECT_TRUE(index.by_port(0).empty());
+  expect_exact_postings(seg);
+
+  expect_time_ranges(seg, {-1e18, event.start - 1.0, event.start,
+                           std::nextafter(event.start, 1e18), 1e18});
+  EXPECT_EQ(index.time_range(event.start, event.start).size(), 0u);
+  EXPECT_EQ(index.time_range(event.start, event.start + 1.0).size(), 1u);
 }
 
 // ---------------------------------------------------------------------------

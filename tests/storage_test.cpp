@@ -224,6 +224,23 @@ TEST(ArchiveTest, RoundTripIsBitIdentical) {
   }
 }
 
+TEST(ArchiveTest, EveryLoadIsTimed) {
+  const auto world = sim::build_world(sim::ScenarioConfig::small());
+  const auto snapshot = world_snapshot(*world, /*segment_days=*/7);
+  const TempFile file(temp_path("dosm_load_timing.dosarch"));
+  write_archive(file.path, *snapshot);
+
+  const ArchiveReader reader(file.path);
+  Metrics& metrics = Metrics::get();
+  const std::uint64_t samples_before = metrics.load_seconds.count();
+  const std::uint64_t loads_before = metrics.segment_loads.value();
+  const auto segments = static_cast<std::uint32_t>(reader.num_segments());
+  const std::uint32_t loads = 2 * segments;
+  for (std::uint32_t i = 0; i < loads; ++i) reader.load(i % segments);
+  EXPECT_EQ(metrics.load_seconds.count() - samples_before, loads);
+  EXPECT_EQ(metrics.segment_loads.value() - loads_before, loads);
+}
+
 TEST(ArchiveTest, WriterRejectsColdSnapshots) {
   const auto world = sim::build_world(sim::ScenarioConfig::small());
   const auto snapshot = world_snapshot(*world, /*segment_days=*/7);
